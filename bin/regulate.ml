@@ -4,6 +4,7 @@
    regulate show <kernel> [--dot FILE]
    regulate flow <kernel> [--flavor iterative|baseline] [--levels N]
    regulate compare <kernel> ...
+   regulate bench [table1|figure5|ablation-*|sweep|micro]... [--kernels a,b,c]
 *)
 
 open Cmdliner
@@ -56,7 +57,7 @@ let cycle_cap_arg =
 
 let milp_nodes_arg =
   let doc =
-    "Per-solve MILP branch-and-bound node budget (default 50000). A solve that exhausts it \
+    "Per-solve MILP branch-and-bound node budget (default 20000). A solve that exhausts it \
      fails with a clean $(b,node budget exhausted) error instead of running unbounded."
   in
   let nodes_conv =
@@ -94,16 +95,30 @@ let no_narrow_arg =
   in
   Arg.(value & flag & info [ "no-narrow" ] ~doc)
 
-(* Enable the artifact cache around [f] when a directory was configured
-   (flag first, then $REPRO_CACHE); the session's counters are appended
-   to the store's stats.log whichever way [f] exits. *)
-let with_cache dir f =
-  match Cache.Control.resolve_dir ~flag:dir with
-  | None -> f ()
-  | Some d -> (
-    match Cache.Control.enable d with
-    | exception Sys_error msg -> Error (`Msg ("--cache-dir: " ^ msg))
-    | _store -> Fun.protect ~finally:Cache.Control.finish f)
+(* The artifact cache directory: the flag first, then $REPRO_CACHE. *)
+let resolve_cache_dir = function
+  | Some _ as dir -> dir
+  | None -> (
+    match Sys.getenv_opt "REPRO_CACHE" with
+    | Some d when String.trim d <> "" -> Some d
+    | _ -> None)
+
+(* The one flow environment of a command, shared by all of its pool
+   tasks: the artifact cache (--cache-dir or $REPRO_CACHE) and the MILP
+   budget overrides. The store's session counters are appended to its
+   stats.log when the process exits, however the command ends. *)
+let session_term =
+  let make dir milp_nodes milp_budget_s =
+    match resolve_cache_dir dir with
+    | None -> Ok (Core.Session.make ?milp_nodes ?milp_budget_s ())
+    | Some d -> (
+      match Cache.Session.of_dir d with
+      | exception Sys_error msg -> Error (`Msg ("--cache-dir: " ^ msg))
+      | cache ->
+        at_exit (fun () -> Cache.Session.finish cache);
+        Ok (Core.Session.make ~cache ?milp_nodes ?milp_budget_s ()))
+  in
+  Term.(term_result (const make $ cache_dir_arg $ milp_nodes_arg $ milp_budget_arg))
 
 (* Open an output file named by a CLI flag: create missing parent
    directories, and turn an unwritable path into a cmdliner `Msg error
@@ -209,8 +224,7 @@ let flow_cmd =
              plus every per-iteration decision), byte-comparable against the $(b,done) events of \
              `regulate serve`.")
   in
-  let run name flavor levels routing slack balance tv_exact no_narrow digest milp_nodes
-      milp_budget_s trace cache_dir =
+  let run name flavor levels routing slack balance tv_exact no_narrow digest session trace =
     let k = Hls.Kernels.by_name name in
     let config =
       {
@@ -228,11 +242,7 @@ let flow_cmd =
           };
       }
     in
-    with_cache cache_dir @@ fun () ->
     traced ~name:"regulate:flow" trace @@ fun () ->
-    let session =
-      Core.Session.make ~cache:(Cache.Control.session ()) ?milp_nodes ?milp_budget_s ()
-    in
     let metrics, outcome = Core.Experiment.run_flow ~config ~session ~flavor k in
     List.iter
       (fun (it : Core.Flow.iteration) ->
@@ -272,15 +282,14 @@ let flow_cmd =
     (Term.term_result
        Term.(
          const run $ kernels_arg $ flavor $ levels $ routing $ slack $ balance $ tv_exact
-         $ no_narrow_arg $ digest $ milp_nodes_arg $ milp_budget_arg $ trace_arg
-         $ cache_dir_arg))
+         $ no_narrow_arg $ digest $ session_term $ trace_arg))
 
 (* ---- export ---- *)
 
 let export_cmd =
   let run name =
     let k = Hls.Kernels.by_name name in
-    let outcome = Core.Flow.iterative (Hls.Kernels.graph k) in
+    let outcome = Core.Flow.iterative ~session:(Core.Session.make ()) (Hls.Kernels.graph k) in
     let g = outcome.Core.Flow.graph in
     Out_channel.with_open_text (name ^ ".dot") (fun oc -> Dataflow.Dot.to_channel oc g);
     let net = Elaborate.run g in
@@ -323,7 +332,7 @@ let compile_cmd =
       (Dataflow.Graph.n_units g) (Dataflow.Graph.n_channels g)
       (List.length (Dataflow.Graph.marked_back_edges g));
     if simulate then begin
-      let outcome = Core.Flow.iterative g in
+      let outcome = Core.Flow.iterative ~session:(Core.Session.make ()) g in
       let r = Sim.Elastic.run outcome.Core.Flow.graph in
       let expected = Hls.Interp.run f ~args:[] ~memories:[] in
       Printf.printf
@@ -380,14 +389,18 @@ let fuzz_cmd =
       & info [ "json" ] ~docv:"FILE"
           ~doc:"Write the campaign statistics (coverage and failure histograms) as JSON.")
   in
-  let run seeds start_seed budget mutate no_minimize repro_dir json jobs trace cache_dir =
-    with_cache cache_dir @@ fun () ->
+  let run seeds start_seed budget mutate no_minimize repro_dir json jobs session trace =
     traced ~name:"regulate:fuzz" trace @@ fun () ->
+    let base = Fuzz.Oracle.flow_config in
+    let config =
+      { base with Core.Flow.milp = Core.Session.milp_config session base.Core.Flow.milp }
+    in
     let result =
       Support.Pool.run ~jobs (fun pool ->
-          Fuzz.Harness.run ~mutations:mutate ?budget_s:budget ~minimize:(not no_minimize)
+          Fuzz.Harness.run ~config ~mutations:mutate ?budget_s:budget
+            ~minimize:(not no_minimize)
             ~log:(fun l -> Printf.eprintf "%s\n%!" l)
-            ~pool ~start_seed ~seeds ())
+            ~cache:session.Core.Session.cache ~pool ~start_seed ~seeds ())
     in
     let s = result.Fuzz.Harness.stats in
     Printf.printf "fuzz: %d kernels checked in %.1fs%s: %d violations, %d explained\n"
@@ -438,14 +451,15 @@ let fuzz_cmd =
     (Term.term_result
        Term.(
          const run $ seeds $ start_seed $ budget $ mutate $ no_minimize $ repro_dir $ json
-         $ jobs_arg $ trace_arg $ cache_dir_arg))
+         $ jobs_arg $ session_term $ trace_arg))
 
 (* ---- profile ---- *)
 
 let profile_cmd =
   let run name =
     let k = Hls.Kernels.by_name name in
-    let outcome = Core.Flow.iterative (Hls.Kernels.graph k) in
+    let session = Core.Session.make () in
+    let outcome = Core.Flow.iterative ~session (Hls.Kernels.graph k) in
     let g = outcome.Core.Flow.graph in
     let r = Sim.Elastic.run ~memories:(k.Hls.Kernels.mems ()) g in
     Printf.printf "%s: %d cycles, %d transfers\n\n" name r.Sim.Elastic.cycles r.Sim.Elastic.transfers;
@@ -467,7 +481,7 @@ let profile_cmd =
         end)
       ranked;
     (* the placed critical path *)
-    let net, lg = Core.Flow.synth_map Core.Flow.default_config g in
+    let net, lg = Core.Flow.synth_map ~session Core.Flow.default_config g in
     let pr = Placeroute.Sta.analyze ~seed:7 net lg in
     Format.printf "@\n%a" (fun fmt () -> Placeroute.Sta.pp_critical_path fmt g lg pr) ()
   in
@@ -499,7 +513,7 @@ let lint_kernel ~levels ~cycle_cap k =
   let milp_cfg = { Buffering.Formulation.default_config with cp_target } in
   let cfdfcs = Buffering.Cfdfc.extract ?cycle_limit:cycle_cap g in
   let r_milp, r_perf =
-    match Buffering.Formulation.solve milp_cfg g model cfdfcs with
+    match Buffering.Formulation.solve ~cache:Cache.Session.disabled milp_cfg g model cfdfcs with
     | Error msg ->
       (Lint.Engine.of_diagnostics [ Lint.Milp_rules.solve_failure msg ], Lint.Engine.empty)
     | Ok p ->
@@ -720,7 +734,7 @@ let absint_cmd =
    across the whole suite. [--milp] additionally solves the
    pre-characterised buffer MILP and audits its phi claims against the
    certified bound of the placement it proposed. *)
-let verify_kernel ~levels ~milp ~cycle_cap k =
+let verify_kernel ~session ~levels ~milp ~cycle_cap k =
   let g = Dataflow.Graph.copy (Hls.Kernels.graph k) in
   ignore (Core.Flow.seed_back_edges g);
   if not milp then begin
@@ -729,12 +743,16 @@ let verify_kernel ~levels ~milp ~cycle_cap k =
     (cert, Lint.Engine.check_perf ~truncated ~phi:[] cert g)
   end
   else begin
-    let model = Timing.Precharacterized.build g in
+    let cache = session.Core.Session.cache in
+    let model = Timing.Precharacterized.build ~cache g in
     let cfdfcs = Buffering.Cfdfc.extract ?cycle_limit:cycle_cap g in
     let truncated = List.exists (fun cf -> cf.Buffering.Cfdfc.truncated) cfdfcs in
     let cp_target = float_of_int levels *. 0.7 in
-    let cfg = { Buffering.Formulation.default_config with cp_target; use_penalty = false } in
-    match Buffering.Formulation.solve cfg g model cfdfcs with
+    let cfg =
+      Core.Session.milp_config session
+        { Buffering.Formulation.default_config with cp_target; use_penalty = false }
+    in
+    match Buffering.Formulation.solve ~cache cfg g model cfdfcs with
     | Error msg ->
       (Analysis.Certify.certify g, Lint.Engine.of_diagnostics [ Lint.Milp_rules.solve_failure msg ])
     | Ok p ->
@@ -772,7 +790,7 @@ let verify_cmd =
   let levels =
     Arg.(value & opt int 6 & info [ "levels" ] ~docv:"N" ~doc:"Target logic levels (default 6).")
   in
-  let run names json milp fail_on_warning levels cycle_cap trace cache_dir =
+  let run names json milp fail_on_warning levels cycle_cap session trace =
     let ks =
       match dedupe_kernel_names ~cli:"regulate" names with
       | [] -> Hls.Kernels.all
@@ -788,7 +806,7 @@ let verify_cmd =
         List.fold_left
           (fun (failed, i) k ->
             let name = k.Hls.Kernels.name in
-            match verify_kernel ~levels ~milp ~cycle_cap k with
+            match verify_kernel ~session ~levels ~milp ~cycle_cap k with
             | cert, r ->
               if json then begin
                 if i > 0 then print_string ",";
@@ -827,7 +845,7 @@ let verify_cmd =
       if json then print_endline "]";
       failed
     in
-    match with_cache cache_dir (fun () -> traced ~name:"regulate:verify" trace body) with
+    match traced ~name:"regulate:verify" trace body with
     | Error _ as e -> e
     | Ok failed -> if failed then exit 1 else Ok ()
   in
@@ -838,8 +856,8 @@ let verify_cmd =
           with --milp, audit the MILP's claims against them.")
     (Term.term_result
        Term.(
-         const run $ names $ json $ milp $ fail_on_warning $ levels $ cycle_cap_arg $ trace_arg
-         $ cache_dir_arg))
+         const run $ names $ json $ milp $ fail_on_warning $ levels $ cycle_cap_arg $ session_term
+         $ trace_arg))
 
 (* ---- tv ---- *)
 
@@ -848,7 +866,7 @@ let verify_cmd =
    intermediate iteration), then re-checks the final netlist / AIG / LUT
    cover triple once more to report its semantic signature and witness
    counts alongside the wall time. *)
-let tv_kernel ~levels ~exact flavor k =
+let tv_kernel ~session ~levels ~exact flavor k =
   let config =
     {
       Core.Flow.default_config with
@@ -866,8 +884,8 @@ let tv_kernel ~levels ~exact flavor k =
   let res =
     match
       match flavor with
-      | `Iterative -> Core.Flow.iterative ~config g
-      | `Baseline -> Core.Flow.baseline ~config g
+      | `Iterative -> Core.Flow.iterative ~config ~session g
+      | `Baseline -> Core.Flow.baseline ~config ~session g
     with
     | outcome ->
       let ds, tv =
@@ -901,7 +919,7 @@ let tv_cmd =
   let levels =
     Arg.(value & opt int 6 & info [ "levels" ] ~docv:"N" ~doc:"Target logic levels (default 6).")
   in
-  let run names json flavor exact levels jobs trace cache_dir =
+  let run names json flavor exact levels jobs session trace =
     let ks =
       match dedupe_kernel_names ~cli:"regulate" names with
       | [] -> Hls.Kernels.all
@@ -917,12 +935,14 @@ let tv_cmd =
     let body () =
       let results =
         if jobs <= 1 then
-          List.map (fun (k, (fn, fl)) -> (k, fn, tv_kernel ~levels ~exact fl k)) tasks
+          List.map (fun (k, (fn, fl)) -> (k, fn, tv_kernel ~session ~levels ~exact fl k)) tasks
         else
           Support.Pool.run ~jobs (fun pool ->
               tasks
               |> List.map (fun (k, (fn, fl)) ->
-                     (k, fn, Support.Pool.submit pool (fun () -> tv_kernel ~levels ~exact fl k)))
+                     ( k,
+                       fn,
+                       Support.Pool.submit pool (fun () -> tv_kernel ~session ~levels ~exact fl k) ))
               |> List.map (fun (k, fn, fut) -> (k, fn, Support.Pool.await fut)))
       in
       if json then print_string "[";
@@ -974,7 +994,7 @@ let tv_cmd =
       if json then print_endline "]";
       failed
     in
-    match with_cache cache_dir (fun () -> traced ~name:"regulate:tv" trace body) with
+    match traced ~name:"regulate:tv" trace body with
     | Error _ as e -> e
     | Ok failed -> if failed then exit 1 else Ok ()
   in
@@ -985,7 +1005,7 @@ let tv_cmd =
           (netlist/AIG/LUT-cover), label & domain soundness, and buffer-insertion refinement.")
     (Term.term_result
        Term.(
-         const run $ names $ json $ flavor $ exact $ levels $ jobs_arg $ trace_arg $ cache_dir_arg))
+         const run $ names $ json $ flavor $ exact $ levels $ jobs_arg $ session_term $ trace_arg))
 
 (* ---- compare ---- *)
 
@@ -993,27 +1013,13 @@ let compare_cmd =
   let names =
     Arg.(value & pos_all string [] & info [] ~docv:"KERNEL" ~doc:"Kernels (default: all nine).")
   in
-  let run names no_narrow milp_nodes milp_budget_s jobs trace cache_dir =
+  let run names no_narrow session jobs trace =
     let names =
       match dedupe_kernel_names ~cli:"regulate" names with [] -> None | names -> Some names
     in
-    (* budgets land in the flow config, so the per-task ambient sessions
-       the pool workers build see them uniformly *)
-    let base = Core.Flow.default_config in
-    let milp =
-      {
-        base.Core.Flow.milp with
-        Buffering.Formulation.node_limit =
-          Option.value milp_nodes ~default:base.Core.Flow.milp.Buffering.Formulation.node_limit;
-        time_limit =
-          Option.value milp_budget_s
-            ~default:base.Core.Flow.milp.Buffering.Formulation.time_limit;
-      }
-    in
-    let config = { base with Core.Flow.milp; narrow = not no_narrow } in
-    with_cache cache_dir @@ fun () ->
+    let config = { Core.Flow.default_config with Core.Flow.narrow = not no_narrow } in
     traced ~name:"regulate:compare" trace @@ fun () ->
-    let rows = Core.Experiment.run_all_parallel ~config ~jobs ?names () in
+    let rows = Core.Experiment.run_all_parallel ~config ~session ~jobs ?names () in
     Core.Report.table1 Format.std_formatter rows;
     Format.print_newline ();
     Core.Report.figure5 Format.std_formatter rows;
@@ -1024,15 +1030,60 @@ let compare_cmd =
     (Cmd.info "compare" ~doc:"Reproduce Table I / Figure 5 for the given kernels.")
     (Term.term_result
        Term.(
-         const run $ names $ no_narrow_arg $ milp_nodes_arg $ milp_budget_arg $ jobs_arg
-         $ trace_arg $ cache_dir_arg))
+         const run $ names $ no_narrow_arg $ session_term $ jobs_arg $ trace_arg))
+
+(* ---- bench ---- *)
+
+let bench_cmd =
+  let targets =
+    let doc =
+      Printf.sprintf "Targets to run, in order: %s. Without a target: %s."
+        (String.concat ", " (List.map fst Bench.targets))
+        (String.concat " " Bench.default_targets)
+    in
+    let target = Arg.enum (List.map (fun (name, _) -> (name, name)) Bench.targets) in
+    Arg.(value & pos_all target [] & info [] ~docv:"TARGET" ~doc)
+  in
+  let kernels =
+    let doc = "Restrict table1 and figure5 to a comma-separated kernel subset." in
+    Arg.(value & opt (some (list string)) None & info [ "kernels" ] ~docv:"A,B,C" ~doc)
+  in
+  let run targets kernels no_narrow (session : Core.Session.t) jobs trace =
+    let kernels = Option.map (List.filter (( <> ) "")) kernels in
+    let known = List.map (fun k -> k.Hls.Kernels.name) Hls.Kernels.all in
+    match List.filter (fun n -> not (List.mem n known)) (Option.value kernels ~default:[]) with
+    | _ :: _ as bad ->
+      Error
+        (`Msg
+          (Printf.sprintf "unknown kernel%s: %s (known: %s)"
+             (if List.length bad > 1 then "s" else "")
+             (String.concat ", " bad) (String.concat ", " known)))
+    | [] ->
+      Option.iter
+        (fun s -> Printf.eprintf "[bench] artifact cache at %s\n%!" (Cache.Store.dir s))
+        (Cache.Session.store session.cache);
+      let e =
+        Bench.env ~session ~jobs ~narrow:(not no_narrow)
+          ~kernels:(Option.map (dedupe_kernel_names ~cli:"bench") kernels)
+      in
+      let targets = match targets with [] -> Bench.default_targets | ts -> ts in
+      traced ~name:"regulate:bench" trace (fun () -> List.iter (Bench.run e) targets)
+  in
+  Cmd.v
+    (Cmd.info "bench"
+       ~doc:
+         "Regenerate the paper's tables, figures and ablations (see EXPERIMENTS.md). Stdout and \
+          results.csv are byte-identical at any $(b,--jobs) width, with or without the cache and \
+          the trace; per-task timings go to stderr.")
+    (Term.term_result
+       Term.(const run $ targets $ kernels $ no_narrow_arg $ session_term $ jobs_arg $ trace_arg))
 
 (* ---- cache ---- *)
 
 let cache_cmd =
   let dir_term =
     let resolve dir =
-      match Cache.Control.resolve_dir ~flag:dir with
+      match resolve_cache_dir dir with
       | Some d -> Ok d
       | None -> Error (`Msg "no cache directory: pass --cache-dir or set REPRO_CACHE")
     in
@@ -1125,40 +1176,30 @@ let serve_cmd =
       & info [ "levels" ] ~docv:"N"
           ~doc:"Server-wide target logic levels (requests may override per request).")
   in
-  let run socket jobs queue_limit levels no_narrow milp_nodes milp_budget_s cache_dir =
-    (* the daemon owns its cache session outright: no process-global
-       Cache.Control state is involved, which is what lets one process
-       serve concurrent requests against one shared store *)
-    match
-      match Cache.Control.resolve_dir ~flag:cache_dir with
-      | None -> Ok Cache.Session.disabled
-      | Some d -> (
-        match Cache.Session.of_dir d with
-        | s -> Ok s
-        | exception Sys_error msg -> Error (`Msg ("--cache-dir: " ^ msg)))
-    with
-    | Error _ as e -> e
-    | Ok cache ->
-      let cfg =
-        {
-          Serve.Server.jobs;
-          queue_limit;
-          levels;
-          milp_nodes;
-          milp_budget_s;
-          cache;
-          flow = { Core.Flow.default_config with Core.Flow.narrow = not no_narrow };
-        }
-      in
-      let t = Serve.Server.create cfg in
-      (match socket with
-      | None -> Serve.Server.serve_channels t stdin stdout
-      | Some path ->
-        Printf.eprintf "[serve] listening on %s (jobs=%d queue=%d cache=%s)\n%!" path jobs
-          queue_limit
-          (match Cache.Session.store cache with Some s -> Cache.Store.dir s | None -> "off");
-        Serve.Server.serve_socket t path);
-      Ok ()
+  let run socket jobs queue_limit levels no_narrow (session : Core.Session.t) =
+    (* the command's session supplies the shared store and the
+       server-wide budgets; the daemon builds one session per request
+       from them *)
+    let cache = session.cache in
+    let cfg =
+      {
+        Serve.Server.jobs;
+        queue_limit;
+        levels;
+        milp_nodes = session.milp_nodes;
+        milp_budget_s = session.milp_budget_s;
+        cache;
+        flow = { Core.Flow.default_config with Core.Flow.narrow = not no_narrow };
+      }
+    in
+    let t = Serve.Server.create cfg in
+    match socket with
+    | None -> Serve.Server.serve_channels t stdin stdout
+    | Some path ->
+      Printf.eprintf "[serve] listening on %s (jobs=%d queue=%d cache=%s)\n%!" path jobs
+        queue_limit
+        (match Cache.Session.store cache with Some s -> Cache.Store.dir s | None -> "off");
+      Serve.Server.serve_socket t path
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1168,10 +1209,7 @@ let serve_cmd =
           one artifact cache. Responses carry the outcome digest, phi vs the certified bound \
           and measured metrics; budget blowouts and malformed requests are structured errors, \
           never crashes.")
-    (Term.term_result
-       Term.(
-         const run $ socket $ jobs_arg $ queue_limit $ levels $ no_narrow_arg $ milp_nodes_arg
-         $ milp_budget_arg $ cache_dir_arg))
+    Term.(const run $ socket $ jobs_arg $ queue_limit $ levels $ no_narrow_arg $ session_term)
 
 (* ---- loadgen ---- *)
 
@@ -1380,6 +1418,7 @@ let () =
             verify_cmd;
             tv_cmd;
             compare_cmd;
+            bench_cmd;
             cache_cmd;
             export_cmd;
             profile_cmd;

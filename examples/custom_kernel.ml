@@ -39,7 +39,7 @@ let () =
     sim.Sim.Elastic.cycles;
 
   (* optimise it and simulate again: same value, better schedule *)
-  let outcome = Core.Flow.iterative g in
+  let outcome = Core.Flow.iterative ~session:(Core.Session.make ()) g in
   let sim2 = Sim.Elastic.run ~memories:[ ("a", Array.copy a); ("b", Array.copy b) ] outcome.Core.Flow.graph in
   Printf.printf "after buffering: %s in %d cycles with %d buffers (levels %d)\n"
     (match sim2.Sim.Elastic.exit_value with Some v -> string_of_int v | None -> "-")

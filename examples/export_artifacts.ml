@@ -7,7 +7,7 @@
 
 let () =
   let kernel = Hls.Kernels.by_name "gsumif" in
-  let outcome = Core.Flow.iterative (Hls.Kernels.graph kernel) in
+  let outcome = Core.Flow.iterative ~session:(Core.Session.make ()) (Hls.Kernels.graph kernel) in
   let g = outcome.Core.Flow.graph in
 
   (* Graphviz of the buffered dataflow circuit *)

@@ -14,7 +14,7 @@ let () =
     (List.length (Dataflow.Graph.marked_back_edges g));
 
   print_endline "=== iterative mapping-aware flow (Figure 4) ===";
-  let outcome = Core.Flow.iterative g in
+  let outcome = Core.Flow.iterative ~session:(Core.Session.make ()) g in
   List.iter
     (fun (it : Core.Flow.iteration) ->
       Printf.printf "iteration %d: %d buffers proposed, achieved %d levels\n"

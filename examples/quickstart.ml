@@ -55,7 +55,7 @@ let () =
     model.Timing.Model.penalty.(c_shift_add);
 
   (* ---- compare with the pre-characterised model ---- *)
-  let pre = Timing.Precharacterized.build g in
+  let pre = Timing.Precharacterized.build ~cache:Cache.Session.disabled g in
   let worst m =
     List.fold_left (fun acc p -> max acc p.Timing.Model.p_delay) 0. m.Timing.Model.pairs
   in
@@ -64,7 +64,7 @@ let () =
 
   (* ---- let the MILP choose buffers under a tight period ---- *)
   let cfg = { Buffering.Formulation.default_config with cp_target = 1.0 } in
-  match Buffering.Formulation.solve cfg g model (Buffering.Cfdfc.extract g) with
+  match Buffering.Formulation.solve ~cache:Cache.Session.disabled cfg g model (Buffering.Cfdfc.extract g) with
   | Ok p ->
     Printf.printf "\nMILP (CP target %.1f ns): %d new buffers on channels [%s]\n"
       cfg.Buffering.Formulation.cp_target

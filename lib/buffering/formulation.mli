@@ -48,7 +48,7 @@ type placement = {
 }
 
 val solve :
-  ?cache:Cache.Session.t ->
+  cache:Cache.Session.t ->
   ?warm:Dataflow.Graph.channel_id list ->
   config ->
   Dataflow.Graph.t ->
@@ -56,10 +56,9 @@ val solve :
   Cfdfc.t list ->
   (placement, string) result
 (** [cache] is the session whose artifact store memoizes the solved
-    assignment (default {!Cache.Control.session}, the ambient CLI
-    cache). [warm] is the previous flow iteration's [all_buffered]
-    placement: it
-    is re-priced under the current model (every listed [R_c] pinned to
+    assignment ({!Cache.Session.disabled} to always solve). [warm] is
+    the previous flow iteration's [all_buffered] placement: it is
+    re-priced under the current model (every listed [R_c] pinned to
     1, the rest to 0, one warm-started LP over the continuous variables)
     and, when feasible, seeds branch & bound's incumbent in place of the
     rounding heuristic. The branch & bound additionally fathoms nodes

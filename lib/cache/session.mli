@@ -7,9 +7,8 @@
     solve) take a session parameter instead of consulting process-global
     state, so one process can serve many concurrent requests that share
     a single store — or mix cached and uncached work — without any
-    cross-request cache-state leakage. The process-global switch in
-    {!Control} remains as a thin shim for the one-shot CLIs: it merely
-    owns one ambient session.
+    cross-request cache-state leakage. There is no process-global
+    cache: each CLI command builds one session and passes it down.
 
     Sessions are cheap records; share one {!Store.t} between as many
     sessions (and {!Support.Pool} domains) as needed — the store itself

@@ -46,18 +46,18 @@ let measure (outcome : Flow.outcome) kernel =
     value_ok;
   }
 
-let run_flow ?(config = Flow.default_config) ?session ~flavor kernel =
+let run_flow ?(config = Flow.default_config) ~session ~flavor kernel =
   let g = Hls.Kernels.graph kernel in
   let outcome =
     match flavor with
-    | `Baseline -> Flow.baseline ~config ?session g
-    | `Iterative -> Flow.iterative ~config ?session g
+    | `Baseline -> Flow.baseline ~config ~session g
+    | `Iterative -> Flow.iterative ~config ~session g
   in
   (measure outcome kernel, outcome)
 
-let run_kernel ?(config = Flow.default_config) kernel =
-  let prev, _ = run_flow ~config ~flavor:`Baseline kernel in
-  let iter, _ = run_flow ~config ~flavor:`Iterative kernel in
+let run_kernel ?(config = Flow.default_config) ~session kernel =
+  let prev, _ = run_flow ~config ~session ~flavor:`Baseline kernel in
+  let iter, _ = run_flow ~config ~session ~flavor:`Iterative kernel in
   { bench = kernel.Hls.Kernels.name; prev; iter }
 
 let resolve_kernels ?names ?kernels () =
@@ -66,8 +66,8 @@ let resolve_kernels ?names ?kernels () =
   | None, Some ns -> List.map Hls.Kernels.by_name ns
   | None, None -> Hls.Kernels.all
 
-let run_all ?(config = Flow.default_config) ?names ?kernels () =
-  List.map (run_kernel ~config) (resolve_kernels ?names ?kernels ())
+let run_all ?(config = Flow.default_config) ~session ?names ?kernels () =
+  List.map (run_kernel ~config ~session) (resolve_kernels ?names ?kernels ())
 
 (* ------------------------------------------------------------------ *)
 (* Domain-parallel engine: one task per kernel x flavor. Each task
@@ -78,7 +78,7 @@ let run_all ?(config = Flow.default_config) ?names ?kernels () =
 
 type task_timing = { t_bench : string; t_flavor : string; t_seconds : float }
 
-let run_all_timed ?(config = Flow.default_config) ?jobs ?names ?kernels () =
+let run_all_timed ?(config = Flow.default_config) ~session ?jobs ?names ?kernels () =
   let jobs = match jobs with Some j -> j | None -> Support.Pool.default_jobs () in
   let ks = resolve_kernels ?names ?kernels () in
   (* rule registration runs at module initialisation, on the main domain;
@@ -101,7 +101,7 @@ let run_all_timed ?(config = Flow.default_config) ?jobs ?names ?kernels () =
           Support.Pool.submit pool (fun () ->
               Trace.with_context ctx (fun () ->
                   Trace.timed ~cat:"task" label (fun () ->
-                      fst (run_flow ~config ~flavor k))))
+                      fst (run_flow ~config ~session ~flavor k))))
         in
         ks
         |> List.map (fun k -> (k, submit k `Baseline, submit k `Iterative))
@@ -119,6 +119,6 @@ let run_all_timed ?(config = Flow.default_config) ?jobs ?names ?kernels () =
   let timings = List.concat_map snd results in
   (rows, timings, Unix.gettimeofday () -. wall0)
 
-let run_all_parallel ?config ?jobs ?names ?kernels () =
-  let rows, _, _ = run_all_timed ?config ?jobs ?names ?kernels () in
+let run_all_parallel ?config ~session ?jobs ?names ?kernels () =
+  let rows, _, _ = run_all_timed ?config ~session ?jobs ?names ?kernels () in
   rows

@@ -27,17 +27,22 @@ type row = {
 
 val run_flow :
   ?config:Flow.config ->
-  ?session:Session.t ->
+  session:Session.t ->
   flavor:[ `Baseline | `Iterative ] ->
   Hls.Kernels.t ->
   metrics * Flow.outcome
-(** [session] (default {!Session.ambient}) is threaded into the flow:
-    cache handle, MILP budget overrides, cancellation, status sink. *)
+(** [session] is threaded into the flow: cache handle, MILP budget
+    overrides, cancellation, status sink. *)
 
-val run_kernel : ?config:Flow.config -> Hls.Kernels.t -> row
+val run_kernel : ?config:Flow.config -> session:Session.t -> Hls.Kernels.t -> row
 
 val run_all :
-  ?config:Flow.config -> ?names:string list -> ?kernels:Hls.Kernels.t list -> unit -> row list
+  ?config:Flow.config ->
+  session:Session.t ->
+  ?names:string list ->
+  ?kernels:Hls.Kernels.t list ->
+  unit ->
+  row list
 (** Runs the paper's nine benchmarks sequentially ([kernels] overrides
     [names]; default all nine). *)
 
@@ -49,6 +54,7 @@ type task_timing = {
 
 val run_all_timed :
   ?config:Flow.config ->
+  session:Session.t ->
   ?jobs:int ->
   ?names:string list ->
   ?kernels:Hls.Kernels.t list ->
@@ -61,6 +67,7 @@ val run_all_timed :
 
 val run_all_parallel :
   ?config:Flow.config ->
+  session:Session.t ->
   ?jobs:int ->
   ?names:string list ->
   ?kernels:Hls.Kernels.t list ->
@@ -69,6 +76,7 @@ val run_all_parallel :
 (** The evaluation fanned out over a {!Support.Pool}: one task per
     kernel x flavor, [jobs] worker domains ([jobs] defaults to
     {!Support.Pool.default_jobs}, i.e. the [REPRO_JOBS] environment
-    variable or 1). Every task builds its own kernel graph and RNGs, so
+    variable or 1). All tasks share [session], whose cache store is
+    domain-safe. Every task builds its own kernel graph and RNGs, so
     the returned rows are identical — row for row — to {!run_all} at any
     [jobs] width; only wall-clock changes. *)

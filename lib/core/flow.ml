@@ -82,11 +82,9 @@ let synth_map_net cfg net =
   let synth = if cfg.balance then Techmap.Balance.run synth else synth in
   Techmap.Mapper.run ~k:cfg.lut_k synth
 
-let synth_map ?session cfg g =
+let synth_map ~session cfg g =
   Trace.with_span "flow:synth+map" @@ fun () ->
-  let cache =
-    match session with Some s -> s.Session.cache | None -> Cache.Control.session ()
-  in
+  let cache = session.Session.cache in
   let net = Elaborate.run g in
   let lg =
     if Cache.Session.enabled cache then
@@ -98,10 +96,6 @@ let synth_map ?session cfg g =
     else synth_map_net cfg net
   in
   (net, lg)
-
-let levels_of cfg g =
-  let _, lg = synth_map cfg g in
-  lg.Techmap.Lutgraph.max_level
 
 let apply_buffers base channels =
   let g = G.copy base in
@@ -205,9 +199,8 @@ let certify_placement config audit ~cfdfcs
       Lint.Engine.check_perf ~truncated ~phi cert candidate);
   (cert, List.fold_left Float.min 1. placement.Buffering.Formulation.throughput)
 
-let iterative ?(config = default_config) ?session input =
+let iterative ?(config = default_config) ~session input =
   Trace.with_span "flow:iterative" @@ fun () ->
-  let session = match session with Some s -> s | None -> Session.ambient () in
   let milp_cfg = Session.milp_config session config.milp in
   let g0 = G.copy input in
   G.clear_buffers g0;
@@ -386,9 +379,8 @@ let iterative ?(config = default_config) ?session input =
   in
   iterate 1 [] None
 
-let baseline ?(config = default_config) ?session input =
+let baseline ?(config = default_config) ~session input =
   Trace.with_span "flow:baseline" @@ fun () ->
-  let session = match session with Some s -> s | None -> Session.ambient () in
   let g = G.copy input in
   G.clear_buffers g;
   let _ = Trace.with_span "flow:seed" (fun () -> seed_back_edges g) in

@@ -103,22 +103,18 @@ val seed_back_edges : Dataflow.Graph.t -> Dataflow.Graph.channel_id list
 (** Place (and return) the opaque buffers required on loop back edges.
     Mutates the graph. *)
 
-val iterative : ?config:config -> ?session:Session.t -> Dataflow.Graph.t -> outcome
+val iterative : ?config:config -> session:Session.t -> Dataflow.Graph.t -> outcome
 (** Mapping-aware iterative flow. The input graph is not mutated.
-    [session] (default {!Session.ambient}) supplies the cache handle,
-    MILP budget overrides, the cooperative-cancellation poll (checked at
-    every iteration boundary and before every MILP solve — raises
-    {!Session.Cancelled}) and the status sink. *)
+    [session] supplies the cache handle, MILP budget overrides, the
+    cooperative-cancellation poll (checked at every iteration boundary
+    and before every MILP solve — raises {!Session.Cancelled}) and the
+    status sink. *)
 
-val baseline : ?config:config -> ?session:Session.t -> Dataflow.Graph.t -> outcome
+val baseline : ?config:config -> session:Session.t -> Dataflow.Graph.t -> outcome
 (** Mapping-agnostic one-shot flow (the paper's "Prev."). Takes the same
     [session] environment as {!iterative}. *)
 
-val levels_of : config -> Dataflow.Graph.t -> int
-(** Synthesise and map the graph as-is; return its logic-level count. *)
-
 val synth_map :
-  ?session:Session.t -> config -> Dataflow.Graph.t -> Net.t * Techmap.Lutgraph.t
+  session:Session.t -> config -> Dataflow.Graph.t -> Net.t * Techmap.Lutgraph.t
 (** Elaborate, synthesise (with the configured optimisation passes) and
-    LUT-map the graph, memoizing through the session's cache (default
-    {!Session.ambient}). *)
+    LUT-map the graph, memoizing through the session's cache. *)

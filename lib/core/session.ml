@@ -14,15 +14,6 @@ let make ?(cache = Cache.Session.disabled) ?milp_nodes ?milp_budget_s
     ?(cancelled = never_cancelled) ?on_status () =
   { cache; milp_nodes; milp_budget_s; cancelled; on_status }
 
-let ambient () =
-  {
-    cache = Cache.Control.session ();
-    milp_nodes = None;
-    milp_budget_s = None;
-    cancelled = never_cancelled;
-    on_status = None;
-  }
-
 let check_cancel t = if t.cancelled () then raise Cancelled
 
 let status t msg = match t.on_status with None -> () | Some f -> f msg

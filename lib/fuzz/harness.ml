@@ -31,7 +31,7 @@ let sorted_bindings tbl =
    oracle on the candidate and demands the same (kind, flavor) violation.
    Capped at [max_checks] oracle runs so a stubborn failure cannot eat
    the campaign budget. *)
-let minimize_finding ?config ~max_checks (p : Hls.Generate.program) (v : Oracle.check) =
+let minimize_finding ?config ~cache ~max_checks (p : Hls.Generate.program) (v : Oracle.check) =
   let checks = ref 0 in
   let still_fails (f : Hls.Ast.func) =
     incr checks;
@@ -40,7 +40,7 @@ let minimize_finding ?config ~max_checks (p : Hls.Generate.program) (v : Oracle.
     let source = Format.asprintf "%a" Hls.Ast.pp_func f in
     let candidate = { p with Hls.Generate.func = f; source } in
     let mutations = if String.length v.Oracle.kind >= 6 && String.sub v.Oracle.kind 0 6 = "mutant" then 2 else 0 in
-    let r = Oracle.check_program ?config ~mutations candidate in
+    let r = Oracle.check_program ?config ~mutations ~cache candidate in
     List.exists
       (fun (c : Oracle.check) -> c.Oracle.kind = v.Oracle.kind && c.Oracle.flavor = v.Oracle.flavor)
       r.Oracle.violations
@@ -48,7 +48,7 @@ let minimize_finding ?config ~max_checks (p : Hls.Generate.program) (v : Oracle.
   let small = Minimize.shrink_func still_fails p.Hls.Generate.func in
   (Format.asprintf "%a" Hls.Ast.pp_func small, Minimize.size small)
 
-let run ?gen_cfg ?config ?mutations ?budget_s ?(minimize = true) ?(log = ignore) ~pool
+let run ?gen_cfg ?config ?mutations ?budget_s ?(minimize = true) ?(log = ignore) ~cache ~pool
     ~start_seed ~seeds () =
   let t0 = Unix.gettimeofday () in
   let elapsed () = Unix.gettimeofday () -. t0 in
@@ -69,7 +69,7 @@ let run ?gen_cfg ?config ?mutations ?budget_s ?(minimize = true) ?(log = ignore)
     next := !next + n;
     let reports =
       Support.Pool.map_list pool
-        (fun seed -> Oracle.check ?gen_cfg ?config ?mutations seed)
+        (fun seed -> Oracle.check ?gen_cfg ?config ?mutations ~cache seed)
         batch_seeds
     in
     List.iter
@@ -96,7 +96,7 @@ let run ?gen_cfg ?config ?mutations ?budget_s ?(minimize = true) ?(log = ignore)
                 | Some cfg -> Hls.Generate.generate ~cfg r.Oracle.seed
               in
               let minimized, min_stmts =
-                if minimize then minimize_finding ?config ~max_checks:200 p c
+                if minimize then minimize_finding ?config ~cache ~max_checks:200 p c
                 else (r.Oracle.source, Minimize.size p.Hls.Generate.func)
               in
               findings :=

@@ -40,6 +40,7 @@ val run :
   ?budget_s:float ->
   ?minimize:bool ->
   ?log:(string -> unit) ->
+  cache:Cache.Session.t ->
   pool:Support.Pool.t ->
   start_seed:int ->
   seeds:int ->
@@ -49,7 +50,9 @@ val run :
     (default none) stops submitting new batches once exceeded;
     [minimize] (default [true]) shrinks each finding's kernel with
     {!Minimize.shrink_func} re-running the single-seed oracle as the
-    predicate. [log] receives one progress line per batch. *)
+    predicate. [log] receives one progress line per batch. Every oracle
+    run memoizes through [cache]; its warm-rerun check only fires when
+    [cache] is enabled. *)
 
 val stats_to_json : stats -> string
 (** One JSON object: totals, failure histogram and feature coverage —

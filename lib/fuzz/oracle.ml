@@ -106,8 +106,9 @@ let pp_mems fmt ms =
         (String.concat "," (List.map string_of_int (Array.to_list arr))))
     ms
 
-let check_program ?(config = flow_config) ?(mutations = 2) (p : Hls.Generate.program) =
+let check_program ?(config = flow_config) ?(mutations = 2) ~cache (p : Hls.Generate.program) =
   let seed = p.Hls.Generate.seed in
+  let session = Core.Session.make ~cache () in
   let violations = ref [] in
   let explained = ref [] in
   let fail ~flavor kind detail = violations := { kind; flavor; detail } :: !violations in
@@ -151,7 +152,7 @@ let check_program ?(config = flow_config) ?(mutations = 2) (p : Hls.Generate.pro
        let gn, report = Absint.Narrow.run res gs in
        if Absint.Narrow.changed report then begin
          Support.Trace.add "fuzz.narrowed" 1;
-         (match Tv.Simdiff.check ~seed:(0xab51 + seed) ~original:gs ~variant:gn () with
+         (match (Tv.Simdiff.check ~seed:(0xab51 + seed) ~original:gs ~variant:gn ()).mismatches with
          | [] -> ()
          | msgs -> fail ~flavor "narrow-equiv" (String.concat "; " msgs));
          let nm = Hls.Generate.fresh_memories p in
@@ -230,7 +231,7 @@ let check_program ?(config = flow_config) ?(mutations = 2) (p : Hls.Generate.pro
         end;
         (* warm re-run: with the cache on, the second run hits the memo
            tables and must decide byte-identically *)
-        if Cache.Control.enabled () then begin
+        if Cache.Session.enabled cache then begin
           match flow ~config (G.copy g0) with
           | exception e -> fail "cache-divergence" ("warm run raised " ^ Printexc.to_string e)
           | o2 ->
@@ -272,8 +273,8 @@ let check_program ?(config = flow_config) ?(mutations = 2) (p : Hls.Generate.pro
     in
     List.iter run_flavor
       [
-        ("iterative", fun ~config g -> Core.Flow.iterative ~config g);
-        ("baseline", fun ~config g -> Core.Flow.baseline ~config g);
+        ("iterative", fun ~config g -> Core.Flow.iterative ~config ~session g);
+        ("baseline", fun ~config g -> Core.Flow.baseline ~config ~session g);
       ]
   | _ -> ());
   if !violations <> [] then Support.Trace.add "fuzz.violations" (List.length !violations);
@@ -285,10 +286,10 @@ let check_program ?(config = flow_config) ?(mutations = 2) (p : Hls.Generate.pro
     source = p.Hls.Generate.source;
   }
 
-let check ?gen_cfg ?config ?mutations seed =
+let check ?gen_cfg ?config ?mutations ~cache seed =
   let p =
     match gen_cfg with
     | None -> Hls.Generate.generate seed
     | Some cfg -> Hls.Generate.generate ~cfg seed
   in
-  check_program ?config ?mutations p
+  check_program ?config ?mutations ~cache p

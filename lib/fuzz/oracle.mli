@@ -26,8 +26,8 @@
     - {b sim-beats-bound}: measured steady-state transfers on every
       channel inside a cyclic SCC stay within [sc_bound * cycles + 4]
       — the simulator never outruns the Howard certificate;
-    - {b cache-divergence}: with the cache enabled, a warm re-run of the
-      flow produces a byte-identical canonical summary;
+    - {b cache-divergence}: when [cache] is enabled, a warm re-run of
+      the flow produces a byte-identical canonical summary;
     - {b mutant-*}: additive DFG mutations ({!Mutate}) of the final
       circuit keep the exit value, memories and liveness. *)
 
@@ -54,15 +54,18 @@ val check :
   ?gen_cfg:Hls.Generate.cfg ->
   ?config:Core.Flow.config ->
   ?mutations:int ->
+  cache:Cache.Session.t ->
   int ->
   report
-(** [check seed] runs the whole battery on one generated kernel.
-    [mutations] (default 2) mutants are derived from the final circuit
-    of each flavor. Deterministic: same arguments, same report. *)
+(** [check ~cache seed] runs the whole battery on one generated kernel;
+    the flows memoize through [cache]. [mutations] (default 2) mutants
+    are derived from the final circuit of each flavor. Deterministic:
+    same arguments, same report. *)
 
 val check_program :
   ?config:Core.Flow.config ->
   ?mutations:int ->
+  cache:Cache.Session.t ->
   Hls.Generate.program ->
   report
 (** The battery on an explicit program — the minimizer's re-check entry

@@ -42,6 +42,7 @@ val check_ranges : ?result:Absint.Analyze.result -> Dataflow.Graph.t -> report
 val check_narrowing :
   ?rounds:int ->
   ?seed:int ->
+  ?config:Sim.Elastic.config ->
   original:Dataflow.Graph.t ->
   variant:Dataflow.Graph.t ->
   unit ->

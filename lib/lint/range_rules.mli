@@ -24,9 +24,11 @@ val check : ?result:Absint.Analyze.result -> Dataflow.Graph.t -> Diagnostic.t li
 val check_narrowing :
   ?rounds:int ->
   ?seed:int ->
+  ?config:Sim.Elastic.config ->
   original:Dataflow.Graph.t ->
   variant:Dataflow.Graph.t ->
   unit ->
   Diagnostic.t list
 (** Random-simulation equivalence via {!Tv.Simdiff}; every mismatch is an
-    [equiv-narrow] error. *)
+    [equiv-narrow] error, and so is a check where every round was skipped
+    because the original did not finish within [config]'s cycle budget. *)

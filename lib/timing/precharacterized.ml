@@ -62,8 +62,7 @@ let characterize g uid =
   let lg = Techmap.Mapper.run synth in
   float_of_int lg.Techmap.Lutgraph.max_level *. level_delay
 
-let unit_delay ?cache:cs g uid =
-  let cs = match cs with Some cs -> cs | None -> Cache.Control.session () in
+let unit_delay ~cache:cs g uid =
   let key = signature g uid in
   match Mutex.protect cache_mutex (fun () -> Hashtbl.find_opt cache key) with
   | Some d -> d
@@ -75,12 +74,12 @@ let unit_delay ?cache:cs g uid =
     Mutex.protect cache_mutex (fun () -> Hashtbl.replace cache key d);
     d
 
-let build ?cache g =
+let build ~cache g =
   let pairs = ref [] in
   let add src dst d = pairs := { Model.p_src = src; p_dst = dst; p_delay = d } :: !pairs in
   G.iter_units g (fun n ->
       let uid = n.G.uid in
-      let d = unit_delay ?cache g uid in
+      let d = unit_delay ~cache g uid in
       let ins = Array.to_list n.G.ins |> List.filter_map (fun c -> c) in
       let outs = Array.to_list n.G.outs |> List.filter_map (fun c -> c) in
       let sequential = K.latency n.G.kind > 0 || K.is_memory n.G.kind in

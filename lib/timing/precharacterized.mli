@@ -11,9 +11,9 @@
     attacks. All penalties are zero (Eq. 1 objective). *)
 
 val unit_delay :
-  ?cache:Cache.Session.t -> Dataflow.Graph.t -> Dataflow.Graph.unit_id -> float
+  cache:Cache.Session.t -> Dataflow.Graph.t -> Dataflow.Graph.unit_id -> float
 (** Characterised delay of one unit (cached by kind and width
     signature, first in a process-wide table, then in the session's
-    artifact cache — default {!Cache.Control.session}). *)
+    artifact cache [cache]). *)
 
-val build : ?cache:Cache.Session.t -> Dataflow.Graph.t -> Model.t
+val build : cache:Cache.Session.t -> Dataflow.Graph.t -> Model.t

@@ -7,8 +7,8 @@
    kernels' reference values are defined against); the remaining rounds
    draw random memory images, which in particular exercises load-value
    masking at narrowed widths.  A round where the original does not finish
-   within the cycle budget proves nothing about the variant and is
-   skipped. *)
+   within the cycle budget proves nothing about the variant: it is skipped
+   and counted, so a caller can tell a pass from a check of nothing. *)
 
 module G = Dataflow.Graph
 
@@ -25,6 +25,8 @@ let mems_of ~random rng g =
       (name, a))
     (G.memories g)
 
+type result = { rounds_run : int; rounds_skipped : int; mismatches : string list }
+
 let check ?(rounds = default_rounds) ?(seed = 0xd1ff) ?config ~original ~variant () =
   let config =
     match config with
@@ -32,6 +34,7 @@ let check ?(rounds = default_rounds) ?(seed = 0xd1ff) ?config ~original ~variant
     | None -> { Sim.Elastic.max_cycles = 200_000; deadlock_window = 256 }
   in
   let mismatches = ref [] in
+  let skipped = ref 0 in
   let add fmt = Printf.ksprintf (fun s -> mismatches := s :: !mismatches) fmt in
   for round = 0 to rounds - 1 do
     let rng = Support.Rng.create (seed + (round * 7919)) in
@@ -63,5 +66,7 @@ let check ?(rounds = default_rounds) ?(seed = 0xd1ff) ?config ~original ~variant
           m1
       end
     end
+    else incr skipped
   done;
-  List.rev !mismatches
+  if !skipped > 0 then Support.Trace.add "tv.simdiff.skipped" !skipped;
+  { rounds_run = rounds - !skipped; rounds_skipped = !skipped; mismatches = List.rev !mismatches }

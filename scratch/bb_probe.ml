@@ -28,7 +28,7 @@ let () =
     Timing.Mapping_aware.build_with_graph ~lut_delay:0.7 ~lut_extra:(fun _ -> 0.) g ~net lg
   in
   let cfdfcs = Buffering.Cfdfc.extract g in
-  match F.solve milp_cfg g model cfdfcs with
+  match F.solve ~cache:Cache.Session.disabled milp_cfg g model cfdfcs with
   | Error e -> Printf.printf "formulation: error %s\n" e
   | Ok p ->
     Printf.printf "production: objective=%.9g buffers=%d\n" p.F.objective

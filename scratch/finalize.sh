@@ -1,8 +1,8 @@
 #!/bin/sh
 cd /root/repo
-dune exec bench/main.exe > bench_output.txt 2>&1
+dune exec bin/regulate.exe -- bench > bench_output.txt 2>&1
 echo BENCH_DONE
-dune exec bench/main.exe -- sweep >> bench_output.txt 2>&1
+dune exec bin/regulate.exe -- bench sweep >> bench_output.txt 2>&1
 echo SWEEP_DONE
 dune runtest --force --no-buffer > test_output.txt 2>&1
 echo TESTS_DONE

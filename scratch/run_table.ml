@@ -3,7 +3,7 @@ let () =
     List.map
       (fun k ->
         let t0 = Unix.gettimeofday () in
-        let row = Core.Experiment.run_kernel k in
+        let row = Core.Experiment.run_kernel ~session:(Core.Session.make ()) k in
         Printf.eprintf "[%s done in %.0fs]\n%!" k.Hls.Kernels.name (Unix.gettimeofday () -. t0);
         row)
       Hls.Kernels.all

@@ -124,3 +124,18 @@ let cheap_flow_config =
     Core.Flow.max_iterations = 1;
     milp = { d.Core.Flow.milp with Buffering.Formulation.node_limit = 20 };
   }
+
+(* The tests' flow environment: no artifact cache, default budgets. *)
+let no_cache = Cache.Session.disabled
+let session = Core.Session.make ()
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Unix.rmdir path
+  end
+  else Sys.remove path
+
+let with_temp_dir f =
+  let dir = Filename.temp_dir "repro-test" "" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)

@@ -144,8 +144,9 @@ let test_gsum_narrowing () =
   let gn, report = N.run res g in
   check Alcotest.bool "narrowing changed gsum" true (N.changed report);
   check Alcotest.bool "channel bits saved" true (report.N.r_bits_after < report.N.r_bits_before);
-  check Alcotest.(list string) "simulation-equivalent" []
-    (Tv.Simdiff.check ~original:g ~variant:gn ())
+  let r = Tv.Simdiff.check ~original:g ~variant:gn () in
+  check Alcotest.(list string) "simulation-equivalent" [] r.Tv.Simdiff.mismatches;
+  check Alcotest.int "every round compared" Tv.Simdiff.default_rounds r.Tv.Simdiff.rounds_run
 
 (* satellite regression: the full flow with narrowing on and off must
    produce sim-equivalent circuits (exit value and memory state) *)
@@ -153,7 +154,7 @@ let test_flow_narrow_on_off () =
   let k = Hls.Kernels.by_name "gsum" in
   let run narrow =
     let config = { Core.Flow.default_config with Core.Flow.narrow } in
-    let o = Core.Flow.iterative ~config (Hls.Kernels.graph k) in
+    let o = Core.Flow.iterative ~session:Fixtures.session ~config (Hls.Kernels.graph k) in
     let mems = k.Hls.Kernels.mems () in
     let r = Sim.Elastic.run ~memories:mems o.Core.Flow.graph in
     check Alcotest.bool (Printf.sprintf "narrow=%b finished" narrow) true r.Sim.Elastic.finished;
@@ -176,7 +177,8 @@ let test_dead_branch_deleted () =
   let gn, report = N.run res g in
   check Alcotest.bool "rewrote the constant branch" true
     (report.N.r_rewired <> [] || report.N.r_deleted <> []);
-  check Alcotest.(list string) "equivalent" [] (Tv.Simdiff.check ~original:g ~variant:gn ());
+  check Alcotest.(list string) "equivalent" []
+    (Tv.Simdiff.check ~original:g ~variant:gn ()).Tv.Simdiff.mismatches;
   let r = Sim.Elastic.run gn in
   check Alcotest.(option int) "narrowed circuit still returns 3" (Some 3) r.Sim.Elastic.exit_value
 
@@ -212,7 +214,8 @@ let test_refork_control_width () =
     (List.exists (fun (_, _, d) -> String.length d >= 6 && String.sub d 0 6 = "cmerge")
        report.N.r_rewired);
   ignore (Elaborate.run gn);
-  check Alcotest.(list string) "equivalent" [] (Tv.Simdiff.check ~original:g ~variant:gn ())
+  check Alcotest.(list string) "equivalent" []
+    (Tv.Simdiff.check ~original:g ~variant:gn ()).Tv.Simdiff.mismatches
 
 (* ------------------------------------------------------------------ *)
 (* The equivalence gate has teeth: an unsound width shrink (performed
@@ -229,8 +232,28 @@ let test_simdiff_catches_unsound_shrink () =
   check Alcotest.bool "found an 8-bit adder" true (!victim >= 0);
   let bad = G.copy g in
   G.set_width bad !victim 3;
-  let mismatches = Tv.Simdiff.check ~original:g ~variant:bad () in
-  check Alcotest.bool "unsound shrink detected" true (mismatches <> [])
+  let r = Tv.Simdiff.check ~original:g ~variant:bad () in
+  check Alcotest.bool "unsound shrink detected" true (r.Tv.Simdiff.mismatches <> [])
+
+(* A gate that compared nothing must not pass: with a cycle budget too
+   small for the original to finish, every round is skipped and counted,
+   and the narrowing gate reports an equiv-narrow error. *)
+let test_simdiff_all_skipped_is_error () =
+  let g = seeded (Hls.Kernels.graph (Hls.Kernels.by_name "gsum")) in
+  let gn, _ = N.run (An.run g) g in
+  let config = { Sim.Elastic.max_cycles = 5; deadlock_window = 256 } in
+  Support.Trace.start ();
+  let r = Tv.Simdiff.check ~config ~original:g ~variant:gn () in
+  let trace = Support.Trace.stop () in
+  check Alcotest.int "no round compared" 0 r.Tv.Simdiff.rounds_run;
+  check Alcotest.int "every round skipped" Tv.Simdiff.default_rounds r.Tv.Simdiff.rounds_skipped;
+  check Alcotest.int "skips traced" Tv.Simdiff.default_rounds
+    (Support.Trace.counter trace "tv.simdiff.skipped");
+  let ds = Lint.Range_rules.check_narrowing ~config ~original:g ~variant:gn () in
+  check Alcotest.bool "equiv-narrow error" true
+    (List.exists
+       (fun (d : Lint.Diagnostic.t) -> d.rule = "equiv-narrow" && d.severity = Lint.Diagnostic.Error)
+       ds)
 
 let suite =
   [
@@ -246,4 +269,6 @@ let suite =
     Alcotest.test_case "range lints clean on suite" `Quick test_ranges_clean;
     Alcotest.test_case "refork takes control width (seed 987)" `Quick test_refork_control_width;
     Alcotest.test_case "simdiff catches unsound shrink" `Quick test_simdiff_catches_unsound_shrink;
+    Alcotest.test_case "simdiff: all rounds skipped is an error" `Quick
+      test_simdiff_all_skipped_is_error;
   ]

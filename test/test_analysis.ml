@@ -260,7 +260,7 @@ let test_delay_uncovered_rule () =
   expect_fired "perf-delay-uncovered" r;
   check Alcotest.bool "warning only" true (E.ok r);
   (* the real mapping pipeline produces a fully covered timing graph *)
-  let net, lg = Core.Flow.synth_map Core.Flow.default_config g in
+  let net, lg = Core.Flow.synth_map ~session:Fixtures.session Core.Flow.default_config g in
   let real = LM.build g ~net lg in
   expect_quiet "perf-delay-uncovered" (E.of_diagnostics (Lint.Perf_rules.check_domains g real));
   expect_quiet "perf-domain-crossing" (E.of_diagnostics (Lint.Perf_rules.check_domains g real))
@@ -270,7 +270,7 @@ let test_delay_uncovered_rule () =
 
 let test_flow_reports_certificate () =
   let g, _ = Fixtures.loop ~buffered:false () in
-  let outcome = Core.Flow.iterative ~config:Fixtures.cheap_flow_config g in
+  let outcome = Core.Flow.iterative ~session:Fixtures.session ~config:Fixtures.cheap_flow_config g in
   check Alcotest.bool "perf gate ran" true (List.mem "perf" outcome.Core.Flow.lint_stages);
   check Alcotest.bool "certificate is live" true outcome.Core.Flow.certified.C.live;
   List.iter
@@ -278,7 +278,7 @@ let test_flow_reports_certificate () =
       check Alcotest.bool "phi <= bound + eps" true
         (it.Core.Flow.milp_phi <= it.Core.Flow.certified_bound +. 1e-4))
     outcome.Core.Flow.iterations;
-  let base = Core.Flow.baseline ~config:Fixtures.cheap_flow_config g in
+  let base = Core.Flow.baseline ~session:Fixtures.session ~config:Fixtures.cheap_flow_config g in
   check Alcotest.bool "baseline perf gate ran" true (List.mem "perf" base.Core.Flow.lint_stages);
   check Alcotest.bool "baseline certified" true base.Core.Flow.certified.C.live
 
@@ -318,7 +318,7 @@ let test_kernels_certified_vs_milp () =
     (fun k ->
       let g = G.copy (Hls.Kernels.graph k) in
       ignore (Core.Flow.seed_back_edges g);
-      let model = Timing.Precharacterized.build g in
+      let model = Timing.Precharacterized.build ~cache:Fixtures.no_cache g in
       let cfdfcs = Buffering.Cfdfc.extract ~cycle_limit:24 g in
       let truncated = List.exists (fun cf -> cf.Buffering.Cfdfc.truncated) cfdfcs in
       let cfg =
@@ -329,7 +329,7 @@ let test_kernels_certified_vs_milp () =
           node_limit = 5;
         }
       in
-      match Buffering.Formulation.solve cfg g model cfdfcs with
+      match Buffering.Formulation.solve ~cache:Fixtures.no_cache cfg g model cfdfcs with
       | Error msg -> Alcotest.fail (k.Hls.Kernels.name ^ ": MILP failed: " ^ msg)
       | Ok p ->
         let candidate = G.copy g in
@@ -354,7 +354,7 @@ let test_tiny_kernels_mapping_aware () =
   List.iter
     (fun k ->
       let g = Hls.Kernels.graph k in
-      let outcome = Core.Flow.iterative ~config:Fixtures.cheap_flow_config g in
+      let outcome = Core.Flow.iterative ~session:Fixtures.session ~config:Fixtures.cheap_flow_config g in
       check Alcotest.bool (k.Hls.Kernels.name ^ " perf gate") true
         (List.mem "perf" outcome.Core.Flow.lint_stages);
       check Alcotest.bool (k.Hls.Kernels.name ^ " live") true

@@ -7,16 +7,11 @@ module K = Dataflow.Unit_kind
 
 let temp_dir () = Filename.temp_dir "repro-cache-test" ""
 
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    Unix.rmdir path
-  end
-  else Sys.remove path
-
 let with_store ?mem_bytes f =
   let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir (Cache.Store.open_dir ?mem_bytes dir))
+  Fun.protect
+    ~finally:(fun () -> Fixtures.rm_rf dir)
+    (fun () -> f dir (Cache.Store.open_dir ?mem_bytes dir))
 
 let find_sub s sub =
   let n = String.length s and m = String.length sub in
@@ -156,49 +151,50 @@ let test_store_gc_clear () =
   Alcotest.(check bool) "json has hit_rate" true (find_sub json "\"hit_rate\":" <> None)
 
 (* ------------------------------------------------------------------ *)
-(* memoization through Control *)
+(* memoization through Session *)
 
-let with_cache_enabled dir f =
-  ignore (Cache.Control.enable dir);
-  Fun.protect ~finally:Cache.Control.finish f
+(* one session over [dir] for the extent of [f]: a fresh process-equivalent
+   each call (new in-memory front, same directory) *)
+let with_session dir f =
+  let s = Cache.Session.of_dir dir in
+  Fun.protect ~finally:(fun () -> Cache.Session.finish s) (fun () -> f s)
 
 let test_memo () =
   let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Fixtures.rm_rf dir) @@ fun () ->
   let calls = ref 0 in
   let f () = incr calls; !calls * 10 in
   Alcotest.(check int) "disabled memo is transparent" 10
-    (Cache.Control.memo ~kind:"t" ~key:"k" f);
-  with_cache_enabled dir (fun () ->
+    (Cache.Session.memo Cache.Session.disabled ~kind:"t" ~key:"k" f);
+  with_session dir (fun s ->
       Alcotest.(check int) "first enabled call computes" 20
-        (Cache.Control.memo ~kind:"t" ~key:"k" f);
+        (Cache.Session.memo s ~kind:"t" ~key:"k" f);
       Alcotest.(check int) "second call served from cache" 20
-        (Cache.Control.memo ~kind:"t" ~key:"k" f);
+        (Cache.Session.memo s ~kind:"t" ~key:"k" f);
       Alcotest.(check int) "f ran twice in total" 2 !calls);
-  (* a fresh process-equivalent: new Control session, same directory *)
-  with_cache_enabled dir (fun () ->
+  with_session dir (fun s ->
       Alcotest.(check int) "persists across sessions" 20
-        (Cache.Control.memo ~kind:"t" ~key:"k" f);
+        (Cache.Session.memo s ~kind:"t" ~key:"k" f);
       Alcotest.(check int) "no recomputation" 2 !calls)
 
 let test_memo_corruption_rewrite () =
   let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Fixtures.rm_rf dir) @@ fun () ->
   let calls = ref 0 in
   let f () = incr calls; "value" in
-  with_cache_enabled dir (fun () ->
-      Alcotest.(check string) "computed" "value" (Cache.Control.memo ~kind:"t" ~key:"c" f);
-      let store = Option.get (Cache.Control.active ()) in
+  with_session dir (fun s ->
+      Alcotest.(check string) "computed" "value" (Cache.Session.memo s ~kind:"t" ~key:"c" f);
+      let store = Option.get (Cache.Session.store s) in
       let path = Cache.Store.entry_path store ~kind:"t" ~key:"c" in
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc "garbage"));
   (* new session: the in-memory front is gone, the disk entry is garbage *)
-  with_cache_enabled dir (fun () ->
+  with_session dir (fun s ->
       Alcotest.(check string) "recomputed after corruption" "value"
-        (Cache.Control.memo ~kind:"t" ~key:"c" f);
+        (Cache.Session.memo s ~kind:"t" ~key:"c" f);
       Alcotest.(check int) "f ran again" 2 !calls);
-  with_cache_enabled dir (fun () ->
+  with_session dir (fun s ->
       Alcotest.(check string) "rewritten entry hits" "value"
-        (Cache.Control.memo ~kind:"t" ~key:"c" f);
+        (Cache.Session.memo s ~kind:"t" ~key:"c" f);
       Alcotest.(check int) "no third run" 2 !calls)
 
 (* ------------------------------------------------------------------ *)
@@ -226,26 +222,26 @@ let render_report rows =
   Format.asprintf "%a@\n%a@\n%a" Core.Report.table1 rows Core.Report.figure5 rows
     Core.Report.iterations rows
 
-let run_compare ~jobs () =
+let run_compare ~cache ~jobs =
   render_report
-    (Core.Experiment.run_all_parallel ~config:Fixtures.cheap_flow_config ~jobs
-       ~kernels:Fixtures.tiny_kernels ())
+    (Core.Experiment.run_all_parallel ~config:Fixtures.cheap_flow_config
+       ~session:(Core.Session.make ~cache ()) ~jobs ~kernels:Fixtures.tiny_kernels ())
 
 let test_cold_warm_identical () =
   let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let cold = with_cache_enabled dir (fun () -> run_compare ~jobs:1 ()) in
+  Fun.protect ~finally:(fun () -> Fixtures.rm_rf dir) @@ fun () ->
+  let cold = with_session dir (fun cache -> run_compare ~cache ~jobs:1) in
   let warm1, warm_hits =
-    with_cache_enabled dir (fun () ->
-        let out = run_compare ~jobs:1 () in
-        (out, Cache.Store.hits (Option.get (Cache.Control.active ()))))
+    with_session dir (fun cache ->
+        let out = run_compare ~cache ~jobs:1 in
+        (out, Cache.Store.hits (Option.get (Cache.Session.store cache))))
   in
-  let warm2 = with_cache_enabled dir (fun () -> run_compare ~jobs:2 ()) in
+  let warm2 = with_session dir (fun cache -> run_compare ~cache ~jobs:2) in
   Alcotest.(check string) "warm jobs=1 == cold" cold warm1;
   Alcotest.(check string) "warm jobs=2 == cold" cold warm2;
   Alcotest.(check bool) "warm run actually hit the cache" true (warm_hits > 0);
   (* and the cache changes nothing vs. no cache at all *)
-  let uncached = run_compare ~jobs:1 () in
+  let uncached = run_compare ~cache:Fixtures.no_cache ~jobs:1 in
   Alcotest.(check string) "uncached == cached" uncached cold
 
 let suite =

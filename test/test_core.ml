@@ -14,7 +14,7 @@ let test_seed_back_edges () =
 
 let test_iterative_on_loop () =
   let g, _ = Fixtures.loop ~buffered:false () in
-  let outcome = Core.Flow.iterative g in
+  let outcome = Core.Flow.iterative ~session:Fixtures.session g in
   check Alcotest.bool "has iterations" true (outcome.Core.Flow.iterations <> []);
   check Alcotest.bool "final levels positive" true (outcome.Core.Flow.final_levels > 0);
   check Alcotest.bool "buffers placed" true (outcome.Core.Flow.total_buffers >= 1);
@@ -25,7 +25,7 @@ let test_iterative_on_loop () =
 
 let test_baseline_on_loop () =
   let g, _ = Fixtures.loop ~buffered:false () in
-  let outcome = Core.Flow.baseline g in
+  let outcome = Core.Flow.baseline ~session:Fixtures.session g in
   check Alcotest.int "single shot" 1 (List.length outcome.Core.Flow.iterations);
   let r = Sim.Elastic.run outcome.Core.Flow.graph in
   check Alcotest.bool "functional" true r.Sim.Elastic.finished;
@@ -33,7 +33,7 @@ let test_baseline_on_loop () =
 
 let test_input_not_mutated () =
   let g, back = Fixtures.loop ~buffered:false () in
-  let _ = Core.Flow.iterative g in
+  let _ = Core.Flow.iterative ~session:Fixtures.session g in
   check Alcotest.bool "input untouched" true (G.buffer g back = None)
 
 let test_tight_target_iterates () =
@@ -48,7 +48,7 @@ let test_tight_target_iterates () =
       milp = { Core.Flow.default_config.Core.Flow.milp with Buffering.Formulation.cp_target = 0.7 };
     }
   in
-  let outcome = Core.Flow.iterative ~config g in
+  let outcome = Core.Flow.iterative ~session:Fixtures.session ~config g in
   check Alcotest.bool "did not meet target" false outcome.Core.Flow.met_target;
   check Alcotest.int "used the budget" 2 (List.length outcome.Core.Flow.iterations)
 
@@ -58,7 +58,7 @@ let test_tight_target_iterates () =
 let test_slack_matched_outcome () =
   let run slack_match =
     let config = { Fixtures.cheap_flow_config with Core.Flow.slack_match } in
-    Core.Flow.iterative ~config (Hls.Kernels.graph Fixtures.tsum)
+    Core.Flow.iterative ~session:Fixtures.session ~config (Hls.Kernels.graph Fixtures.tsum)
   in
   let off = run false and on = run true in
   check Alcotest.bool "slack padding placed extra buffers" true
@@ -88,7 +88,7 @@ let test_measure_uses_flow_netlist () =
   List.iter
     (fun flavor ->
       let metrics, outcome =
-        Core.Experiment.run_flow ~config ~flavor Fixtures.tsum
+        Core.Experiment.run_flow ~config ~session:Fixtures.session ~flavor Fixtures.tsum
       in
       let pr =
         Placeroute.Sta.analyze ~seed:7 outcome.Core.Flow.net
@@ -108,15 +108,15 @@ let test_measure_uses_flow_netlist () =
    to skip it entirely. *)
 let test_final_lint_gate_runs () =
   let g, _ = Fixtures.loop ~buffered:false () in
-  let baseline = Core.Flow.baseline g in
-  let iterative = Core.Flow.iterative g in
+  let baseline = Core.Flow.baseline ~session:Fixtures.session g in
+  let iterative = Core.Flow.iterative ~session:Fixtures.session g in
   check Alcotest.bool "baseline audit ends with final-dfg" true
     (List.mem "final-dfg" baseline.Core.Flow.lint_stages);
   check Alcotest.bool "iterative audit ends with final-dfg" true
     (List.mem "final-dfg" iterative.Core.Flow.lint_stages);
   check Alcotest.bool "gates off leaves no audit trail" true
     (let config = { Core.Flow.default_config with Core.Flow.lint_gates = false } in
-     (Core.Flow.baseline ~config g).Core.Flow.lint_stages = [])
+     (Core.Flow.baseline ~session:Fixtures.session ~config g).Core.Flow.lint_stages = [])
 
 (* The LUT input count is not a cosmetic default: mapping the same
    netlist at a different k changes the level count, so benchmarks must

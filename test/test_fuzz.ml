@@ -48,7 +48,7 @@ let test_generator_well_formed () =
 let test_campaign_deterministic_across_jobs () =
   let campaign jobs =
     Support.Pool.run ~jobs (fun pool ->
-        Fuzz.Harness.run ~gen_cfg:quick_gen ~mutations:1 ~minimize:false ~pool ~start_seed:0
+        Fuzz.Harness.run ~gen_cfg:quick_gen ~mutations:1 ~minimize:false ~cache:Fixtures.no_cache ~pool ~start_seed:0
           ~seeds:4 ())
   in
   let strip r = { r.Fuzz.Harness.stats with Fuzz.Harness.s_duration_s = 0. } in
@@ -96,7 +96,7 @@ let test_harness_reports_planted_failure () =
   let p = Hls.Generate.generate 3 in
   (* tamper: the recorded source disagrees with the AST *)
   let bad = { p with Hls.Generate.source = "int other() { return 0; }" } in
-  let r = Fuzz.Oracle.check_program ~mutations:0 bad in
+  let r = Fuzz.Oracle.check_program ~mutations:0 ~cache:Fixtures.no_cache bad in
   check bool "parse-roundtrip fires" true
     (List.exists (fun c -> c.Fuzz.Oracle.kind = "parse-roundtrip") r.Fuzz.Oracle.violations)
 
@@ -153,7 +153,7 @@ let test_mutations_additive () =
 let test_pinned_regression_seeds () =
   List.iter
     (fun seed ->
-      let r = Fuzz.Oracle.check ~mutations:1 seed in
+      let r = Fuzz.Oracle.check ~mutations:1 ~cache:Fixtures.no_cache seed in
       List.iter
         (fun (c : Fuzz.Oracle.check) ->
           failf "seed %d: unexpected %s/%s: %s" seed c.Fuzz.Oracle.flavor c.Fuzz.Oracle.kind
@@ -206,6 +206,25 @@ let test_parser_positions () =
       check bool "rendered with position" true (contains ~affix:"line 1, column" rendered)
     | None -> fail "error_message recognises parser errors")
 
+(* The oracle's warm-rerun arm fires only with an enabled cache: one seed
+   against a fresh store must run each flow twice, serve the rerun from
+   the store and decide identically. *)
+let test_oracle_cache_arm () =
+  Fixtures.with_temp_dir @@ fun dir ->
+  let cache = Cache.Session.of_dir dir in
+  Support.Trace.start ();
+  let r = Fuzz.Oracle.check ~gen_cfg:quick_gen ~mutations:0 ~cache 3 in
+  let trace = Support.Trace.stop () in
+  let runs name =
+    List.length (List.filter (fun sp -> sp.Support.Trace.sp_name = name) trace.Support.Trace.r_spans)
+  in
+  check int "iterative flow ran cold and warm" 2 (runs "flow:iterative");
+  check int "baseline flow ran cold and warm" 2 (runs "flow:baseline");
+  check bool "warm rerun hit the store" true
+    (Cache.Store.hits (Option.get (Cache.Session.store cache)) > 0);
+  check (list string) "no violation, cache-divergence included" []
+    (List.map (fun (c : Fuzz.Oracle.check) -> c.Fuzz.Oracle.kind) r.Fuzz.Oracle.violations)
+
 let suite =
   [
     test_case "generator is deterministic" `Quick test_generator_deterministic;
@@ -217,6 +236,7 @@ let suite =
     test_case "oracle reports a planted violation" `Quick test_harness_reports_planted_failure;
     test_case "DFG mutations are additive and equivalent" `Quick test_mutations_additive;
     test_case "pinned regression seeds stay clean" `Slow test_pinned_regression_seeds;
+    test_case "oracle cache arm re-runs warm" `Quick test_oracle_cache_arm;
     test_case "cmp-fed arithmetic is width-promoted" `Quick test_cmp_arith_width;
     test_case "diagnostics carry source positions" `Quick test_parser_positions;
   ]

@@ -319,7 +319,7 @@ let test_milp_real_certificate () =
   (* a real solve on fig2 must pass its own certificate check *)
   let g, (_, _, _, model) = fig2_pipeline () in
   let cfg = { Buffering.Formulation.default_config with cp_target = 4.2 } in
-  match Buffering.Formulation.solve cfg g model (Buffering.Cfdfc.extract g) with
+  match Buffering.Formulation.solve ~cache:Fixtures.no_cache cfg g model (Buffering.Cfdfc.extract g) with
   | Error msg -> Alcotest.fail ("solve failed: " ^ msg)
   | Ok p ->
     let r =
@@ -357,17 +357,17 @@ let test_json_rendering () =
 let test_flow_gate_aborts () =
   let g = G.create "broken" in
   let _ = G.add_unit g (K.Fork 2) in
-  match Core.Flow.iterative g with
+  match Core.Flow.iterative ~session:Fixtures.session g with
   | exception E.Lint_error r -> check Alcotest.bool "errors recorded" true (r.E.errors > 0)
   | _ -> Alcotest.fail "expected Lint_error"
 
 let test_flow_collects_report () =
   let g, _ = Fixtures.loop () in
   let cfg = { Core.Flow.default_config with max_iterations = 1 } in
-  let out = Core.Flow.iterative ~config:cfg g in
+  let out = Core.Flow.iterative ~session:Fixtures.session ~config:cfg g in
   check Alcotest.int "no errors survive a completed run" 0 out.Core.Flow.lint.E.errors;
   let off = { cfg with Core.Flow.lint_gates = false } in
-  let out = Core.Flow.iterative ~config:off g in
+  let out = Core.Flow.iterative ~session:Fixtures.session ~config:off g in
   check Alcotest.int "gates off: nothing collected" 0
     (List.length out.Core.Flow.lint.E.diagnostics)
 

@@ -97,8 +97,8 @@ let test_default_jobs () =
 let test_run_all_parallel_equals_sequential () =
   let kernels = Fixtures.tiny_kernels in
   let config = Fixtures.cheap_flow_config in
-  let seq = Core.Experiment.run_all ~config ~kernels () in
-  let par = Core.Experiment.run_all_parallel ~config ~jobs:4 ~kernels () in
+  let seq = Core.Experiment.run_all ~config ~session:Fixtures.session ~kernels () in
+  let par = Core.Experiment.run_all_parallel ~config ~session:Fixtures.session ~jobs:4 ~kernels () in
   let render rows = Format.asprintf "%a" Core.Report.csv rows in
   Alcotest.(check string)
     "jobs=4 rows are byte-identical to sequential" (render seq) (render par);

@@ -12,13 +12,6 @@ let check = Alcotest.check
 
 let temp_dir () = Filename.temp_dir "repro-serve-test" ""
 
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    Unix.rmdir path
-  end
-  else Sys.remove path
-
 (* ------------------------------------------------------------------ *)
 (* JSON codec *)
 
@@ -371,8 +364,8 @@ let serial_digest src flavor =
   let config = Fixtures.cheap_flow_config in
   let outcome =
     match flavor with
-    | `Iterative -> Core.Flow.iterative ~config g
-    | `Baseline -> Core.Flow.baseline ~config g
+    | `Iterative -> Core.Flow.iterative ~session:Fixtures.session ~config g
+    | `Baseline -> Core.Flow.baseline ~session:Fixtures.session ~config g
   in
   P.outcome_digest outcome
 
@@ -493,7 +486,7 @@ let wait_for_socket path =
 
 let test_socket_loadgen_end_to_end () =
   let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Fixtures.rm_rf dir) @@ fun () ->
   let path = Filename.concat dir "serve.sock" in
   let t =
     S.create
@@ -517,11 +510,11 @@ let test_socket_loadgen_end_to_end () =
   check Alcotest.bool "socket unlinked after shutdown" false (Sys.file_exists path)
 
 (* ------------------------------------------------------------------ *)
-(* session-scoped cache handles (the Cache.Control shim satellite) *)
+(* session-scoped cache handles and budget overrides *)
 
 let test_cache_session_memo () =
   let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Fixtures.rm_rf dir) @@ fun () ->
   let s = Cache.Session.of_dir dir in
   let calls = ref 0 in
   let f () =
@@ -545,16 +538,9 @@ let test_cache_session_memo () =
   ignore (Cache.Session.memo d ~kind:"t" ~key:"k" f);
   check Alcotest.int "computed every time" 3 !calls
 
-let test_control_is_a_shim () =
-  (* with no process-global store enabled, the shim hands out the
-     disabled session and memo degrades to plain computation *)
-  check Alcotest.bool "no ambient store in tests" true (Cache.Control.active () = None);
-  check Alcotest.bool "shim session disabled" false
-    (Cache.Session.enabled (Cache.Control.session ()));
-  let session = Core.Session.ambient () in
-  check Alcotest.bool "ambient flow session has no cache" false
-    (Cache.Session.enabled session.Core.Session.cache);
-  (* budget overrides flow through Session.milp_config *)
+let test_session_milp_config () =
+  check Alcotest.bool "a made session has no cache by default" false
+    (Cache.Session.enabled (Core.Session.make ()).Core.Session.cache);
   let base = Core.Flow.default_config.Core.Flow.milp in
   let s = Core.Session.make ~milp_nodes:123 ~milp_budget_s:4.5 () in
   let cfg = Core.Session.milp_config s base in
@@ -585,5 +571,6 @@ let suite =
     Alcotest.test_case "transport: socket + loadgen end to end" `Quick
       test_socket_loadgen_end_to_end;
     Alcotest.test_case "cache: session memo and shared store" `Quick test_cache_session_memo;
-    Alcotest.test_case "cache: Control is a thin shim over Session" `Quick test_control_is_a_shim;
+    Alcotest.test_case "session: milp_config applies budget overrides" `Quick
+      test_session_milp_config;
   ]

@@ -81,34 +81,6 @@ let test_vec_iterators () =
   check (Alcotest.option Alcotest.int) "find_index" (Some 2)
     (Support.Vec.find_index (fun x -> x = 3) v)
 
-(* ------------------------------------------------------------------ *)
-(* Union-find *)
-
-let test_uf_basic () =
-  let uf = Support.Union_find.create 6 in
-  Support.Union_find.union uf 0 1;
-  Support.Union_find.union uf 2 3;
-  Support.Union_find.union uf 1 2;
-  check Alcotest.bool "0~3" true (Support.Union_find.same uf 0 3);
-  check Alcotest.bool "0!~4" false (Support.Union_find.same uf 0 4);
-  let classes = Support.Union_find.classes uf in
-  let sizes = Array.to_list classes |> List.map List.length |> List.filter (( <> ) 0) in
-  check (Alcotest.list Alcotest.int) "class sizes" [ 4; 1; 1 ] (List.sort (fun a b -> compare b a) sizes)
-
-let prop_uf_transitive =
-  QCheck.Test.make ~name:"union-find transitivity" ~count:100
-    QCheck.(pair (int_range 2 30) (list_of_size (Gen.int_range 0 40) (pair small_nat small_nat)))
-    (fun (n, pairs) ->
-      let uf = Support.Union_find.create n in
-      List.iter (fun (a, b) -> Support.Union_find.union uf (a mod n) (b mod n)) pairs;
-      (* representatives are consistent *)
-      List.for_all
-        (fun (a, b) ->
-          let a = a mod n and b = b mod n in
-          Support.Union_find.same uf a b
-          = (Support.Union_find.find uf a = Support.Union_find.find uf b))
-        pairs)
-
 let suite =
   [
     ("rng deterministic", `Quick, test_rng_deterministic);
@@ -120,6 +92,4 @@ let suite =
     ("vec push/get/set", `Quick, test_vec_push_get);
     ("vec bounds checked", `Quick, test_vec_bounds);
     ("vec iterators", `Quick, test_vec_iterators);
-    ("union-find basics", `Quick, test_uf_basic);
-    qtest prop_uf_transitive;
   ]

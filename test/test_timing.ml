@@ -128,7 +128,7 @@ let test_precharacterized_positive_delays () =
         Alcotest.(check bool)
           (n.G.label ^ " has positive delay")
           true
-          (Timing.Precharacterized.unit_delay g n.G.uid > 0.)
+          (Timing.Precharacterized.unit_delay ~cache:Fixtures.no_cache g n.G.uid > 0.)
       | _ -> ())
 
 let test_precharacterized_cache_stable () =
@@ -136,14 +136,14 @@ let test_precharacterized_cache_stable () =
   let adds = G.find_units g (fun n -> match n.G.kind with K.Operator _ -> true | _ -> false) in
   match adds with
   | u :: _ ->
-    let d1 = Timing.Precharacterized.unit_delay g u in
-    let d2 = Timing.Precharacterized.unit_delay g u in
+    let d1 = Timing.Precharacterized.unit_delay ~cache:Fixtures.no_cache g u in
+    let d2 = Timing.Precharacterized.unit_delay ~cache:Fixtures.no_cache g u in
     check (Alcotest.float 1e-9) "cached" d1 d2
   | [] -> Alcotest.fail "no operator"
 
 let test_precharacterized_model () =
   let g, _, _, _, _ = Fixtures.fig2 () in
-  let model = Timing.Precharacterized.build g in
+  let model = Timing.Precharacterized.build ~cache:Fixtures.no_cache g in
   check Alcotest.bool "pairs nonempty" true (model.M.pairs <> []);
   Array.iter (fun p -> Alcotest.(check (float 1e-9)) "no penalties" 0. p) model.M.penalty
 
@@ -154,7 +154,7 @@ let test_baseline_more_conservative () =
   let g, _, _, _, _ = Fixtures.fig2 () in
   let net, lg = synth_map g in
   let aware = Timing.Mapping_aware.build g ~net lg in
-  let precharacterized = Timing.Precharacterized.build g in
+  let precharacterized = Timing.Precharacterized.build ~cache:Fixtures.no_cache g in
   let total m = List.fold_left (fun acc p -> acc +. p.M.p_delay) 0. m.M.pairs in
   let avg m = total m /. float_of_int (max 1 (List.length m.M.pairs)) in
   check Alcotest.bool "baseline avg pair delay dominates" true

@@ -8,12 +8,12 @@ let check = Alcotest.check
    and a mapped sequential one (the buffered loop). *)
 let mapped_fig2 () =
   let g, _, _, _, _ = Fixtures.fig2 () in
-  let net, lg = Core.Flow.synth_map Core.Flow.default_config g in
+  let net, lg = Core.Flow.synth_map ~session:Fixtures.session Core.Flow.default_config g in
   (g, net, lg)
 
 let mapped_loop () =
   let g, _ = Fixtures.loop ~buffered:true () in
-  let net, lg = Core.Flow.synth_map Core.Flow.default_config g in
+  let net, lg = Core.Flow.synth_map ~session:Fixtures.session Core.Flow.default_config g in
   (g, net, lg)
 
 let rule_fired id ds = List.exists (fun d -> d.Lint.Diagnostic.rule = id) ds
@@ -180,8 +180,8 @@ let test_refinement_allows_selection () =
 
 let test_flow_stages () =
   let g, _ = Fixtures.loop ~buffered:false () in
-  let iterative = Core.Flow.iterative g in
-  let baseline = Core.Flow.baseline g in
+  let iterative = Core.Flow.iterative ~session:Fixtures.session g in
+  let baseline = Core.Flow.baseline ~session:Fixtures.session g in
   List.iter
     (fun stage ->
       check Alcotest.bool ("iterative ran " ^ stage) true
