@@ -219,14 +219,6 @@ let ablation_width e =
    changes" on the baseline, vs the iterative flow *)
 let sweep e =
   let k = Hls.Kernels.by_name "gsumif" in
-  let d = Core.Flow.default_config in
-  let config_for target =
-    {
-      d with
-      Core.Flow.target_levels = target;
-      milp = { d.Core.Flow.milp with Buffering.Formulation.cp_target = float_of_int target *. 0.7 };
-    }
-  in
   paired e ~title:"Target sweep (E5): achieved levels under varying level targets (gsumif)"
     ~header:
       [
@@ -238,7 +230,7 @@ let sweep e =
       Printf.sprintf "%-8d | %9d %10.2f | %9d %10.2f" target a.levels a.cp b.levels b.cp)
     (List.map
        (fun target ->
-         let config = config_for target in
+         let config = { Core.Flow.default_config with Core.Flow.target_levels = target } in
          (target, flow_task e ~config ~flavor:`Baseline k, flow_task e ~config k))
        [ 5; 6; 7; 8 ])
 
@@ -253,15 +245,12 @@ let micro _ =
   let _ = Core.Flow.seed_back_edges g0 in
   let net = Elaborate.run g0 in
   let synth = Techmap.Synth.run net in
-  (* map with the flow's configured LUT size: the stage timing must
-     measure the configuration the experiments actually run *)
-  let lut_k = Core.Flow.default_config.Core.Flow.lut_k in
-  let lg = Techmap.Mapper.run ~k:lut_k synth in
+  let lg = Techmap.Mapper.run synth in
   let tests =
     [
       Test.make ~name:"elaborate" (Staged.stage (fun () -> ignore (Elaborate.run g0)));
       Test.make ~name:"synthesize-aig" (Staged.stage (fun () -> ignore (Techmap.Synth.run net)));
-      Test.make ~name:"lut-map" (Staged.stage (fun () -> ignore (Techmap.Mapper.run ~k:lut_k synth)));
+      Test.make ~name:"lut-map" (Staged.stage (fun () -> ignore (Techmap.Mapper.run synth)));
       Test.make ~name:"timing-model"
         (Staged.stage (fun () -> ignore (Timing.Mapping_aware.build g0 ~net lg)));
       Test.make ~name:"cfdfc-extract"

@@ -87,6 +87,12 @@ let milp_budget_arg =
   in
   Arg.(value & opt (some budget_conv) None & info [ "milp-budget-s" ] ~docv:"SECONDS" ~doc)
 
+let levels_arg =
+  Arg.(
+    value
+    & opt int Core.Flow.default_config.Core.Flow.target_levels
+    & info [ "levels" ] ~docv:"N" ~doc:"Target logic levels (default 6).")
+
 let no_narrow_arg =
   let doc =
     "Disable the abstract-interpretation narrowing stage (on by default: the flow shrinks unit \
@@ -200,9 +206,6 @@ let flow_cmd =
     let flavor_conv = Arg.enum [ ("iterative", `Iterative); ("baseline", `Baseline) ] in
     Arg.(value & opt flavor_conv `Iterative & info [ "flavor" ] ~docv:"FLAVOR" ~doc:"iterative or baseline.")
   in
-  let levels =
-    Arg.(value & opt int 6 & info [ "levels" ] ~docv:"N" ~doc:"Target logic levels (default 6).")
-  in
   let routing = Arg.(value & flag & info [ "routing-aware" ] ~doc:"Fold placement wire estimates into the model.") in
   let slack = Arg.(value & flag & info [ "slack-match" ] ~doc:"Pad reconvergent paths with transparent capacity.") in
   let balance = Arg.(value & flag & info [ "balance" ] ~doc:"Run AND re-association before mapping.") in
@@ -235,11 +238,6 @@ let flow_cmd =
         balance;
         tv_exact;
         narrow = not no_narrow;
-        milp =
-          {
-            Core.Flow.default_config.Core.Flow.milp with
-            Buffering.Formulation.cp_target = float_of_int levels *. 0.7;
-          };
       }
     in
     traced ~name:"regulate:flow" trace @@ fun () ->
@@ -281,7 +279,7 @@ let flow_cmd =
     (Cmd.info "flow" ~doc:"Run one buffering flow on one kernel.")
     (Term.term_result
        Term.(
-         const run $ kernels_arg $ flavor $ levels $ routing $ slack $ balance $ tv_exact
+         const run $ kernels_arg $ flavor $ levels_arg $ routing $ slack $ balance $ tv_exact
          $ no_narrow_arg $ digest $ session_term $ trace_arg))
 
 (* ---- export ---- *)
@@ -292,10 +290,8 @@ let export_cmd =
     let outcome = Core.Flow.iterative ~session:(Core.Session.make ()) (Hls.Kernels.graph k) in
     let g = outcome.Core.Flow.graph in
     Out_channel.with_open_text (name ^ ".dot") (fun oc -> Dataflow.Dot.to_channel oc g);
-    let net = Elaborate.run g in
-    let synth = Techmap.Synth.run net in
-    let lg = Techmap.Mapper.run synth in
-    Out_channel.with_open_text (name ^ ".blif") (fun oc -> Techmap.Blif.to_channel oc net lg);
+    Out_channel.with_open_text (name ^ ".blif") (fun oc ->
+        Techmap.Blif.to_channel oc outcome.Core.Flow.net outcome.Core.Flow.lutgraph);
     let r =
       Out_channel.with_open_text (name ^ ".vcd") (fun oc ->
           Sim.Elastic.run ~memories:(k.Hls.Kernels.mems ()) ~vcd:oc g)
@@ -458,8 +454,7 @@ let fuzz_cmd =
 let profile_cmd =
   let run name =
     let k = Hls.Kernels.by_name name in
-    let session = Core.Session.make () in
-    let outcome = Core.Flow.iterative ~session (Hls.Kernels.graph k) in
+    let outcome = Core.Flow.iterative ~session:(Core.Session.make ()) (Hls.Kernels.graph k) in
     let g = outcome.Core.Flow.graph in
     let r = Sim.Elastic.run ~memories:(k.Hls.Kernels.mems ()) g in
     Printf.printf "%s: %d cycles, %d transfers\n\n" name r.Sim.Elastic.cycles r.Sim.Elastic.transfers;
@@ -481,13 +476,30 @@ let profile_cmd =
         end)
       ranked;
     (* the placed critical path *)
-    let net, lg = Core.Flow.synth_map ~session Core.Flow.default_config g in
-    let pr = Placeroute.Sta.analyze ~seed:7 net lg in
+    let lg = outcome.Core.Flow.lutgraph in
+    let pr = Placeroute.Sta.analyze ~seed:7 outcome.Core.Flow.net lg in
     Format.printf "@\n%a" (fun fmt () -> Placeroute.Sta.pp_critical_path fmt g lg pr) ()
   in
   Cmd.v
     (Cmd.info "profile" ~doc:"Simulate a kernel and report hot channels and the critical path.")
     Term.(const run $ kernels_arg)
+
+(* A repeated kernel name would be run (and reported) twice for no new
+   information; keep the first occurrence and warn on stderr so stdout
+   stays a clean report. *)
+let dedupe_kernel_names ~cli names =
+  let seen = Hashtbl.create 8 in
+  List.filter
+    (fun n ->
+      if Hashtbl.mem seen n then begin
+        Printf.eprintf "[%s] warning: duplicate kernel %S ignored\n%!" cli n;
+        false
+      end
+      else begin
+        Hashtbl.add seen n ();
+        true
+      end)
+    names
 
 (* ---- lint ---- *)
 
@@ -506,14 +518,16 @@ let lint_kernel ~levels ~cycle_cap k =
   let net = Elaborate.run g in
   let r_net = Lint.Engine.check_netlist g net in
   let synth = Techmap.Synth.run net in
-  let lg = Techmap.Mapper.run ~k:6 synth in
+  let lg = Techmap.Mapper.run synth in
   let tg, model = Timing.Mapping_aware.build_with_graph g ~net lg in
   let r_map = Lint.Engine.check_mapping g lg tg model in
-  let cp_target = float_of_int levels *. 0.7 in
-  let milp_cfg = { Buffering.Formulation.default_config with cp_target } in
+  let cp_target = Core.Flow.cp_target levels in
   let cfdfcs = Buffering.Cfdfc.extract ?cycle_limit:cycle_cap g in
   let r_milp, r_perf =
-    match Buffering.Formulation.solve ~cache:Cache.Session.disabled milp_cfg g model cfdfcs with
+    match
+      Buffering.Formulation.solve ~cache:Cache.Session.disabled ~cp_target
+        Buffering.Formulation.default_config g model cfdfcs
+    with
     | Error msg ->
       (Lint.Engine.of_diagnostics [ Lint.Milp_rules.solve_failure msg ], Lint.Engine.empty)
     | Ok p ->
@@ -523,20 +537,8 @@ let lint_kernel ~levels ~cycle_cap k =
       in
       (* the LP-free oracle: certify the placement the MILP proposed and
          audit its throughput claims against the certified bound *)
-      let candidate = Dataflow.Graph.copy g in
-      List.iter
-        (fun c ->
-          Dataflow.Graph.set_buffer candidate c
-            (Some { Dataflow.Graph.transparent = false; slots = 2 }))
-        p.Buffering.Formulation.new_buffers;
-      let cert = Analysis.Certify.certify candidate in
-      let truncated = List.exists (fun cf -> cf.Buffering.Cfdfc.truncated) cfdfcs in
-      let phi =
-        List.map2
-          (fun (cf : Buffering.Cfdfc.t) th -> (cf.Buffering.Cfdfc.units, th))
-          cfdfcs p.Buffering.Formulation.throughput
-      in
-      (r_milp, Lint.Engine.check_perf ~truncated ~phi cert candidate)
+      let _, _, r_perf = Core.Flow.certify_placement ~cfdfcs g p in
+      (r_milp, r_perf)
   in
   List.fold_left Lint.Engine.merge Lint.Engine.empty
     [ pre; post; r_ranges; r_net; r_map; r_milp; r_perf ]
@@ -549,15 +551,12 @@ let lint_cmd =
   let fail_on_warning =
     Arg.(value & flag & info [ "fail-on-warning" ] ~doc:"Exit non-zero on warnings too.")
   in
-  let levels =
-    Arg.(value & opt int 6 & info [ "levels" ] ~docv:"N" ~doc:"Target logic levels (default 6).")
-  in
   let rules = Arg.(value & flag & info [ "rules" ] ~doc:"Print the rule catalogue and exit.") in
   let run names json fail_on_warning levels cycle_cap rules jobs =
     if rules then Format.printf "%a" Lint.Engine.pp_catalogue ()
     else begin
       let ks =
-        match names with
+        match dedupe_kernel_names ~cli:"regulate" names with
         | [] -> Hls.Kernels.all
         | names -> List.map Hls.Kernels.by_name names
       in
@@ -602,24 +601,7 @@ let lint_cmd =
   Cmd.v
     (Cmd.info "lint"
        ~doc:"Statically verify kernels: DFG structure, netlist, LUT mapping, MILP certificate.")
-    Term.(const run $ names $ json $ fail_on_warning $ levels $ cycle_cap_arg $ rules $ jobs_arg)
-
-(* A repeated kernel name would be run (and reported) twice for no new
-   information; keep the first occurrence and warn on stderr so stdout
-   stays a clean report. *)
-let dedupe_kernel_names ~cli names =
-  let seen = Hashtbl.create 8 in
-  List.filter
-    (fun n ->
-      if Hashtbl.mem seen n then begin
-        Printf.eprintf "[%s] warning: duplicate kernel %S ignored\n%!" cli n;
-        false
-      end
-      else begin
-        Hashtbl.add seen n ();
-        true
-      end)
-    names
+    Term.(const run $ names $ json $ fail_on_warning $ levels_arg $ cycle_cap_arg $ rules $ jobs_arg)
 
 (* ---- absint ---- *)
 
@@ -746,29 +728,19 @@ let verify_kernel ~session ~levels ~milp ~cycle_cap k =
     let cache = session.Core.Session.cache in
     let model = Timing.Precharacterized.build ~cache g in
     let cfdfcs = Buffering.Cfdfc.extract ?cycle_limit:cycle_cap g in
-    let truncated = List.exists (fun cf -> cf.Buffering.Cfdfc.truncated) cfdfcs in
-    let cp_target = float_of_int levels *. 0.7 in
     let cfg =
       Core.Session.milp_config session
-        { Buffering.Formulation.default_config with cp_target; use_penalty = false }
+        { Buffering.Formulation.default_config with use_penalty = false }
     in
-    match Buffering.Formulation.solve ~cache cfg g model cfdfcs with
+    match
+      Buffering.Formulation.solve ~cache ~cp_target:(Core.Flow.cp_target levels) cfg g model
+        cfdfcs
+    with
     | Error msg ->
       (Analysis.Certify.certify g, Lint.Engine.of_diagnostics [ Lint.Milp_rules.solve_failure msg ])
     | Ok p ->
-      let candidate = Dataflow.Graph.copy g in
-      List.iter
-        (fun c ->
-          Dataflow.Graph.set_buffer candidate c
-            (Some { Dataflow.Graph.transparent = false; slots = 2 }))
-        p.Buffering.Formulation.new_buffers;
-      let cert = Analysis.Certify.certify candidate in
-      let phi =
-        List.map2
-          (fun (cf : Buffering.Cfdfc.t) th -> (cf.Buffering.Cfdfc.units, th))
-          cfdfcs p.Buffering.Formulation.throughput
-      in
-      (cert, Lint.Engine.check_perf ~truncated ~phi cert candidate)
+      let _, cert, r_perf = Core.Flow.certify_placement ~cfdfcs g p in
+      (cert, r_perf)
   end
 
 let verify_cmd =
@@ -786,9 +758,6 @@ let verify_cmd =
   in
   let fail_on_warning =
     Arg.(value & flag & info [ "fail-on-warning" ] ~doc:"Exit non-zero on warnings too.")
-  in
-  let levels =
-    Arg.(value & opt int 6 & info [ "levels" ] ~docv:"N" ~doc:"Target logic levels (default 6).")
   in
   let run names json milp fail_on_warning levels cycle_cap session trace =
     let ks =
@@ -856,7 +825,7 @@ let verify_cmd =
           with --milp, audit the MILP's claims against them.")
     (Term.term_result
        Term.(
-         const run $ names $ json $ milp $ fail_on_warning $ levels $ cycle_cap_arg $ session_term
+         const run $ names $ json $ milp $ fail_on_warning $ levels_arg $ cycle_cap_arg $ session_term
          $ trace_arg))
 
 (* ---- tv ---- *)
@@ -872,11 +841,6 @@ let tv_kernel ~session ~levels ~exact flavor k =
       Core.Flow.default_config with
       Core.Flow.target_levels = levels;
       tv_exact = exact;
-      milp =
-        {
-          Core.Flow.default_config.Core.Flow.milp with
-          Buffering.Formulation.cp_target = float_of_int levels *. 0.7;
-        };
     }
   in
   let g = Hls.Kernels.graph k in
@@ -915,9 +879,6 @@ let tv_cmd =
           ~doc:
             "Confirm every signature mismatch by scalar replay and exhaustive evaluation of the \
              offending LUT cone.")
-  in
-  let levels =
-    Arg.(value & opt int 6 & info [ "levels" ] ~docv:"N" ~doc:"Target logic levels (default 6).")
   in
   let run names json flavor exact levels jobs session trace =
     let ks =
@@ -1005,7 +966,7 @@ let tv_cmd =
           (netlist/AIG/LUT-cover), label & domain soundness, and buffer-insertion refinement.")
     (Term.term_result
        Term.(
-         const run $ names $ json $ flavor $ exact $ levels $ jobs_arg $ session_term $ trace_arg))
+         const run $ names $ json $ flavor $ exact $ levels_arg $ jobs_arg $ session_term $ trace_arg))
 
 (* ---- compare ---- *)
 
@@ -1169,13 +1130,6 @@ let serve_cmd =
     in
     Arg.(value & opt limit_conv 8 & info [ "queue-limit" ] ~docv:"N" ~doc)
   in
-  let levels =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "levels" ] ~docv:"N"
-          ~doc:"Server-wide target logic levels (requests may override per request).")
-  in
   let run socket jobs queue_limit levels no_narrow (session : Core.Session.t) =
     (* the command's session supplies the shared store and the
        server-wide budgets; the daemon builds one session per request
@@ -1185,11 +1139,11 @@ let serve_cmd =
       {
         Serve.Server.jobs;
         queue_limit;
-        levels;
         milp_nodes = session.milp_nodes;
         milp_budget_s = session.milp_budget_s;
         cache;
-        flow = { Core.Flow.default_config with Core.Flow.narrow = not no_narrow };
+        flow =
+          { Core.Flow.default_config with Core.Flow.target_levels = levels; narrow = not no_narrow };
       }
     in
     let t = Serve.Server.create cfg in
@@ -1209,7 +1163,7 @@ let serve_cmd =
           one artifact cache. Responses carry the outcome digest, phi vs the certified bound \
           and measured metrics; budget blowouts and malformed requests are structured errors, \
           never crashes.")
-    Term.(const run $ socket $ jobs_arg $ queue_limit $ levels $ no_narrow_arg $ session_term)
+    Term.(const run $ socket $ jobs_arg $ queue_limit $ levels_arg $ no_narrow_arg $ session_term)
 
 (* ---- loadgen ---- *)
 

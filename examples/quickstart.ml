@@ -63,11 +63,13 @@ let () =
     (worst model) (worst pre);
 
   (* ---- let the MILP choose buffers under a tight period ---- *)
-  let cfg = { Buffering.Formulation.default_config with cp_target = 1.0 } in
-  match Buffering.Formulation.solve ~cache:Cache.Session.disabled cfg g model (Buffering.Cfdfc.extract g) with
+  let cp_target = 1.0 in
+  match
+    Buffering.Formulation.solve ~cache:Cache.Session.disabled ~cp_target
+      Buffering.Formulation.default_config g model (Buffering.Cfdfc.extract g)
+  with
   | Ok p ->
-    Printf.printf "\nMILP (CP target %.1f ns): %d new buffers on channels [%s]\n"
-      cfg.Buffering.Formulation.cp_target
+    Printf.printf "\nMILP (CP target %.1f ns): %d new buffers on channels [%s]\n" cp_target
       (List.length p.Buffering.Formulation.new_buffers)
       (String.concat "; "
          (List.map

@@ -12,17 +12,15 @@
       [Θ <= tokens(C) / (latency(C) + buffers(C))];
     - {b legality}: every enumerated cycle keeps at least one opaque
       buffer (no combinational cycles);
-    - {b objective} (Eq. 3): [max α·ΣΘ − β·Σ R_c·(1 + penalty(c))]; with
-      [use_penalty = false] this degenerates to Eq. 1 (the baseline).
+    - {b objective} (Eq. 3): [max α·ΣΘ − β·Σ R_c·(1 + penalty(c))] with
+      the paper's constants α = 10 and β = 0.05; with [use_penalty =
+      false] this degenerates to Eq. 1 (the baseline).
 
     Channels already buffered in the graph are fixed at [R_c = 1] (the
     iterative flow's "predefined buffers are fixed; new buffers can be
     freely added"). *)
 
 type config = {
-  cp_target : float;    (** ns; the paper uses 6 levels x 0.7 = 4.2 *)
-  alpha : float;
-  beta : float;
   use_penalty : bool;
   node_limit : int;     (** branch & bound node budget *)
   time_limit : float;
@@ -50,12 +48,15 @@ type placement = {
 val solve :
   cache:Cache.Session.t ->
   ?warm:Dataflow.Graph.channel_id list ->
+  cp_target:float ->
   config ->
   Dataflow.Graph.t ->
   Timing.Model.t ->
   Cfdfc.t list ->
   (placement, string) result
-(** [cache] is the session whose artifact store memoizes the solved
+(** [cp_target] is the clock-period target in ns: a level target times
+    {!Support.Fabric.level_delay} (the paper's 6 levels give 4.2).
+    [cache] is the session whose artifact store memoizes the solved
     assignment ({!Cache.Session.disabled} to always solve). [warm] is
     the previous flow iteration's [all_buffered] placement: it is
     re-priced under the current model (every listed [R_c] pinned to

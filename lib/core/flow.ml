@@ -4,14 +4,11 @@ module Trace = Support.Trace
 
 type config = {
   target_levels : int;
-  level_delay : float;
   max_iterations : int;
   milp : Buffering.Formulation.config;
-  lut_k : int;
   routing_aware : bool;
   slack_match : bool;
   balance : bool;
-  lint_gates : bool;
   tv_exact : bool;
   narrow : bool;
 }
@@ -19,17 +16,16 @@ type config = {
 let default_config =
   {
     target_levels = 6;
-    level_delay = 0.7;
     max_iterations = 6;
-    milp = { Buffering.Formulation.default_config with cp_target = 6. *. 0.7 };
-    lut_k = 6;
+    milp = Buffering.Formulation.default_config;
     routing_aware = false;
     slack_match = false;
     balance = false;
-    lint_gates = true;
     tv_exact = false;
     narrow = true;
   }
+
+let cp_target levels = float_of_int levels *. Support.Fabric.level_delay
 
 type iteration = {
   it_index : int;
@@ -73,14 +69,14 @@ let seed_back_edges g =
 
 (* Synthesis + mapping of an already-elaborated netlist: the expensive
    half of [synth_map], and the unit of artifact caching — keyed by the
-   canonical netlist hash plus the two config fields that change the
-   mapped result, so warm runs skip AIG construction and cut
+   canonical netlist hash plus the LUT size and [balance], the two other
+   inputs that change the mapped result, so warm runs skip AIG construction and cut
    enumeration entirely (cross-iteration, cross-flavor, cross-process
    and cross-request hits all share one entry). *)
 let synth_map_net cfg net =
   let synth = Techmap.Synth.run net in
   let synth = if cfg.balance then Techmap.Balance.run synth else synth in
-  Techmap.Mapper.run ~k:cfg.lut_k synth
+  Techmap.Mapper.run synth
 
 let synth_map ~session cfg g =
   Trace.with_span "flow:synth+map" @@ fun () ->
@@ -90,7 +86,10 @@ let synth_map ~session cfg g =
     if Cache.Session.enabled cache then
       let key =
         Cache.Hash.combine
-          [ Cache.Hash.netlist net; Printf.sprintf "k=%d;balance=%b" cfg.lut_k cfg.balance ]
+          [
+            Cache.Hash.netlist net;
+            Printf.sprintf "k=%d;balance=%b" Support.Fabric.lut_k cfg.balance;
+          ]
       in
       Cache.Session.memo cache ~kind:"synthmap" ~key (fun () -> synth_map_net cfg net)
     else synth_map_net cfg net
@@ -129,12 +128,10 @@ type audit = {
 
 let new_audit () = { a_report = Lint.Engine.empty; a_stages = [] }
 
-let run_gate config audit ~stage check =
-  if config.lint_gates then begin
-    let r = Trace.with_span ~cat:"lint" ("lint:" ^ stage) check in
-    audit.a_report <- Lint.Engine.merge audit.a_report (Lint.Engine.gate ~stage r);
-    audit.a_stages <- stage :: audit.a_stages
-  end
+let run_gate audit ~stage check =
+  let r = Trace.with_span ~cat:"lint" ("lint:" ^ stage) check in
+  audit.a_report <- Lint.Engine.merge audit.a_report (Lint.Engine.gate ~stage r);
+  audit.a_stages <- stage :: audit.a_stages
 
 (* Translation-validation gates (the equiv-* rules). The signature pass
    is cheap (a few 64-lane simulation rounds per representation) and
@@ -143,12 +140,12 @@ let run_gate config audit ~stage check =
    the whole family, so the CI budget guard can hold the validator
    under a fixed share of flow wall time. *)
 let tv_gate config audit ~stage net lg =
-  run_gate config audit ~stage (fun () ->
+  run_gate audit ~stage (fun () ->
       Trace.with_span "flow:tv" (fun () ->
-          Lint.Engine.check_translation ~exact:config.tv_exact ~k:config.lut_k net lg))
+          Lint.Engine.check_translation ~exact:config.tv_exact net lg))
 
-let refine_gate config audit ~stage ~base ~buffered ~allowed =
-  run_gate config audit ~stage (fun () ->
+let refine_gate audit ~stage ~base ~buffered ~allowed =
+  run_gate audit ~stage (fun () ->
       Trace.with_span "flow:tv" (fun () -> Lint.Engine.check_refinement ~base ~buffered ~allowed))
 
 (* Value-range narrowing (§ the mapping-aware premise: level counts are a
@@ -157,37 +154,26 @@ let refine_gate config audit ~stage ~base ~buffered ~allowed =
    widths, folds constants and deletes dead steering, and the rewritten
    graph replaces the input of every later stage.  The rewrite is
    translation-validated by random simulation ([equiv-narrow]): a mismatch
-   aborts the flow — even when lint gates are off, because a failed gate
-   means the optimizer changed observable behaviour. *)
+   aborts the flow. *)
 let narrow_stage config audit session g =
   if not config.narrow then (g, None)
   else begin
     Session.status session "absint";
     Trace.with_span "flow:absint" @@ fun () ->
     let res = Absint.Analyze.run g in
-    run_gate config audit ~stage:"range" (fun () ->
-        Lint.Engine.check_ranges ~result:res g);
+    run_gate audit ~stage:"range" (fun () -> Lint.Engine.check_ranges ~result:res g);
     let narrowed, report = Absint.Narrow.run res g in
     if Absint.Narrow.changed report then begin
-      let equiv () =
-        Trace.with_span "flow:tv" (fun () ->
-            Lint.Engine.check_narrowing ~original:g ~variant:narrowed ())
-      in
-      if config.lint_gates then run_gate config audit ~stage:"tv-narrow" equiv
-      else ignore (Lint.Engine.gate ~stage:"tv-narrow" (equiv ()));
+      run_gate audit ~stage:"tv-narrow" (fun () ->
+          Trace.with_span "flow:tv" (fun () ->
+              Lint.Engine.check_narrowing ~original:g ~variant:narrowed ()));
       (narrowed, Some report)
     end
     else (g, Some report)
   end
 
-(* The LP-free performance oracle: right after each MILP solve, the
-   candidate placement is certified (min cycle ratio by Howard with a
-   Karp cross-check, marked-graph liveness) and the [perf] gate
-   compares the MILP's per-CFDFC throughput against the certified
-   bound. The certificate itself is computed even with lint gates off —
-   the outcome reports it alongside phi. *)
-let certify_placement config audit ~cfdfcs
-    ~(placement : Buffering.Formulation.placement) candidate =
+let certify_placement ~cfdfcs g (placement : Buffering.Formulation.placement) =
+  let candidate = apply_buffers g placement.Buffering.Formulation.new_buffers in
   let cert = Trace.with_span "flow:certify" (fun () -> Analysis.Certify.certify candidate) in
   let truncated = List.exists (fun cf -> cf.Buffering.Cfdfc.truncated) cfdfcs in
   let phi =
@@ -195,19 +181,28 @@ let certify_placement config audit ~cfdfcs
       (fun (cf : Buffering.Cfdfc.t) th -> (cf.Buffering.Cfdfc.units, th))
       cfdfcs placement.Buffering.Formulation.throughput
   in
-  run_gate config audit ~stage:"perf" (fun () ->
-      Lint.Engine.check_perf ~truncated ~phi cert candidate);
-  (cert, List.fold_left Float.min 1. placement.Buffering.Formulation.throughput)
+  (candidate, cert, Lint.Engine.check_perf ~truncated ~phi cert candidate)
+
+(* Right after each MILP solve: the buffer-insertion refinement gate,
+   then the [perf] gate on the candidate's certificate. Returns the
+   candidate, its certificate and the MILP's own phi claim. *)
+let audit_placement audit ~cfdfcs g placement =
+  let candidate, cert, perf = certify_placement ~cfdfcs g placement in
+  refine_gate audit ~stage:"tv-buffer" ~base:g ~buffered:candidate
+    ~allowed:(List.map (fun c -> (c, opaque_spec)) placement.Buffering.Formulation.new_buffers);
+  run_gate audit ~stage:"perf" (fun () -> perf);
+  (candidate, cert, List.fold_left Float.min 1. placement.Buffering.Formulation.throughput)
 
 let iterative ?(config = default_config) ~session input =
   Trace.with_span "flow:iterative" @@ fun () ->
   let milp_cfg = Session.milp_config session config.milp in
+  let cp_target = cp_target config.target_levels in
   let g0 = G.copy input in
   G.clear_buffers g0;
   let seeded = Trace.with_span "flow:seed" (fun () -> seed_back_edges g0) in
   ignore seeded;
   let audit = new_audit () in
-  run_gate config audit ~stage:"dfg" (fun () -> Lint.Engine.check_graph g0);
+  run_gate audit ~stage:"dfg" (fun () -> Lint.Engine.check_graph g0);
   let g0, narrowing = narrow_stage config audit session g0 in
   let iterations = ref [] in
   let sorted_buffered g = List.map fst (G.buffered_channels g) |> List.sort compare in
@@ -234,7 +229,7 @@ let iterative ?(config = default_config) ~session input =
         (prev_net, prev_lg)
       | _ -> synth_map ~session config g
     in
-    run_gate config audit ~stage:"netlist" (fun () -> Lint.Engine.check_netlist g net);
+    run_gate audit ~stage:"netlist" (fun () -> Lint.Engine.check_netlist g net);
     (* every iteration's netlist/AIG/cover triple is validated, whether
        it came from a fresh synthesis, the previous iteration's reuse
        path, or a warm artifact-cache hit *)
@@ -267,9 +262,9 @@ let iterative ?(config = default_config) ~session input =
     in
     let tg, model =
       Trace.with_span "flow:model" (fun () ->
-          Timing.Mapping_aware.build_with_graph ~lut_delay:config.level_delay ~lut_extra g ~net lg)
+          Timing.Mapping_aware.build_with_graph ~lut_extra g ~net lg)
     in
-    run_gate config audit ~stage:"lut-mapping" (fun () ->
+    run_gate audit ~stage:"lut-mapping" (fun () ->
         Lint.Engine.check_mapping g lg tg model);
     let cfdfcs = Buffering.Cfdfc.extract g in
     (* the previous iteration's placement seeds this iteration's MILP
@@ -280,20 +275,16 @@ let iterative ?(config = default_config) ~session input =
     Session.status session "milp";
     match
       Trace.with_span "flow:milp" (fun () ->
-          Buffering.Formulation.solve ~cache:session.Session.cache ?warm:milp_warm milp_cfg g
-            model cfdfcs)
+          Buffering.Formulation.solve ~cache:session.Session.cache ?warm:milp_warm ~cp_target
+            milp_cfg g model cfdfcs)
     with
     | Error msg -> failwith ("Flow.iterative: " ^ msg)
     | Ok placement ->
-      run_gate config audit ~stage:"milp" (fun () ->
-          Lint.Engine.check_milp ~cp_target:config.milp.Buffering.Formulation.cp_target
+      run_gate audit ~stage:"milp" (fun () ->
+          Lint.Engine.check_milp ~cp_target
             ~buffered:placement.Buffering.Formulation.all_buffered model
             placement.Buffering.Formulation.lp placement.Buffering.Formulation.solution);
-      let candidate = apply_buffers g (placement.Buffering.Formulation.new_buffers) in
-      refine_gate config audit ~stage:"tv-buffer" ~base:g ~buffered:candidate
-        ~allowed:
-          (List.map (fun c -> (c, opaque_spec)) placement.Buffering.Formulation.new_buffers);
-      let cert, milp_phi = certify_placement config audit ~cfdfcs ~placement candidate in
+      let candidate, cert, milp_phi = audit_placement audit ~cfdfcs g placement in
       let cand_net, cand_lg = synth_map ~session config candidate in
       let achieved = cand_lg.Techmap.Lutgraph.max_level in
       let met = achieved <= config.target_levels in
@@ -334,7 +325,7 @@ let iterative ?(config = default_config) ~session input =
                 List.map (fun (cid, slots) -> (cid, { G.transparent = true; slots })) pads
               in
               List.iter (fun (cid, spec) -> G.set_buffer candidate cid (Some spec)) allowed;
-              refine_gate config audit ~stage:"tv-slack" ~base:before ~buffered:candidate
+              refine_gate audit ~stage:"tv-slack" ~base:before ~buffered:candidate
                 ~allowed;
               synth_map ~session config candidate
             end
@@ -343,7 +334,7 @@ let iterative ?(config = default_config) ~session input =
         in
         tv_gate config audit ~stage:"tv-final" cand_net cand_lg;
         let final_levels = cand_lg.Techmap.Lutgraph.max_level in
-        run_gate config audit ~stage:"final-dfg" (fun () ->
+        run_gate audit ~stage:"final-dfg" (fun () ->
             Lint.Engine.check_graph candidate);
         `Done
           {
@@ -385,7 +376,7 @@ let baseline ?(config = default_config) ~session input =
   G.clear_buffers g;
   let _ = Trace.with_span "flow:seed" (fun () -> seed_back_edges g) in
   let audit = new_audit () in
-  run_gate config audit ~stage:"dfg" (fun () -> Lint.Engine.check_graph g);
+  run_gate audit ~stage:"dfg" (fun () -> Lint.Engine.check_graph g);
   let g, narrowing = narrow_stage config audit session g in
   Session.check_cancel session;
   Session.status session "model";
@@ -397,22 +388,20 @@ let baseline ?(config = default_config) ~session input =
   let milp =
     Session.milp_config session { config.milp with Buffering.Formulation.use_penalty = false }
   in
+  let cp_target = cp_target config.target_levels in
   Session.check_cancel session;
   Session.status session "milp";
   match
     Trace.with_span "flow:milp" (fun () ->
-        Buffering.Formulation.solve ~cache:session.Session.cache milp g model cfdfcs)
+        Buffering.Formulation.solve ~cache:session.Session.cache ~cp_target milp g model cfdfcs)
   with
   | Error msg -> failwith ("Flow.baseline: " ^ msg)
   | Ok placement ->
-    run_gate config audit ~stage:"milp" (fun () ->
-        Lint.Engine.check_milp ~cp_target:milp.Buffering.Formulation.cp_target
+    run_gate audit ~stage:"milp" (fun () ->
+        Lint.Engine.check_milp ~cp_target
           ~buffered:placement.Buffering.Formulation.all_buffered model
           placement.Buffering.Formulation.lp placement.Buffering.Formulation.solution);
-    let final = apply_buffers g placement.Buffering.Formulation.new_buffers in
-    refine_gate config audit ~stage:"tv-buffer" ~base:g ~buffered:final
-      ~allowed:(List.map (fun c -> (c, opaque_spec)) placement.Buffering.Formulation.new_buffers);
-    let cert, milp_phi = certify_placement config audit ~cfdfcs ~placement final in
+    let final, cert, milp_phi = audit_placement audit ~cfdfcs g placement in
     let final_net, final_lg = synth_map ~session config final in
     (* the baseline synthesises once, at the end: its single tv gate
        validates that final netlist/AIG/cover triple *)
@@ -420,7 +409,7 @@ let baseline ?(config = default_config) ~session input =
     let achieved = final_lg.Techmap.Lutgraph.max_level in
     (* the same closing gate the iterative flow runs: both flavors audit
        their result graph, not just their inputs and MILP artefacts *)
-    run_gate config audit ~stage:"final-dfg" (fun () -> Lint.Engine.check_graph final);
+    run_gate audit ~stage:"final-dfg" (fun () -> Lint.Engine.check_graph final);
     {
       graph = final;
       net = final_net;

@@ -17,11 +17,12 @@
     solve the same MILP once without penalties (Eq. 1), done. *)
 
 type config = {
-  target_levels : int;      (** the paper targets 6 *)
-  level_delay : float;      (** 0.7 ns *)
+  target_levels : int;
+      (** the paper targets 6; the only place the level target is set —
+          both flows derive the MILP's clock-period target from it
+          ({!cp_target}) *)
   max_iterations : int;
   milp : Buffering.Formulation.config;
-  lut_k : int;              (** LUT input count, 6 *)
   routing_aware : bool;
       (** fold placement-estimated wire delays into the timing model (the
           §VI future-work enhancement; off in the paper's configuration) *)
@@ -32,26 +33,29 @@ type config = {
       (** run the depth-reducing AND re-association pass before LUT
           mapping (ABC's [balance]; off to match the paper's `if -K 6`
           only run) *)
-  lint_gates : bool;
-      (** audit every stage with the {!module:Lint} rule set: errors
-          abort the run with {!Lint.Engine.Lint_error}, warnings and
-          infos are collected into {!outcome.lint} (on by default) *)
   tv_exact : bool;
       (** translation-validation gates confirm every signature-mismatch
           witness by scalar replay and exhaustive evaluation of the
           offending cone (the [--tv-exact] CLI flag; off by default —
-          the cheap 64-lane signature pass always runs when
-          [lint_gates] is on) *)
+          the cheap 64-lane signature pass always runs) *)
   narrow : bool;
       (** run the abstract-interpretation value analysis and the verified
           narrowing rewrite ({!module:Absint}) on the seeded graph before
           synthesis (on by default; the [--no-narrow] CLI escape hatch).
-          The rewrite is always gated by random-simulation equivalence
-          ([equiv-narrow]) — a mismatch aborts the flow even when
-          [lint_gates] is off *)
+          The rewrite is gated by random-simulation equivalence
+          ([equiv-narrow]): a mismatch aborts the flow *)
 }
+(** Every stage of both flows is audited by the {!module:Lint} rule set:
+    errors abort the run with {!Lint.Engine.Lint_error}, warnings and
+    infos are collected into {!outcome.lint}. The LUT size and the
+    per-level delay are the fabric constants {!Support.Fabric.lut_k} and
+    {!Support.Fabric.level_delay}. *)
 
 val default_config : config
+
+val cp_target : int -> float
+(** The clock-period target of a level target, in ns:
+    [levels × Support.Fabric.level_delay] (6 levels give 4.2). *)
 
 type iteration = {
   it_index : int;
@@ -92,8 +96,8 @@ type outcome = {
           transparent capacity, which cannot invalidate it) *)
   lint : Lint.Engine.report;    (** non-fatal findings from the stage gates *)
   lint_stages : string list;
-      (** audit trail: the gate stages that actually ran, in order (empty
-          when [lint_gates] is off); both flavors end with ["final-dfg"] *)
+      (** audit trail: the gate stages that actually ran, in order; both
+          flavors end with ["final-dfg"] *)
   narrowing : Absint.Narrow.report option;
       (** what the value-range narrowing stage did (widths shrunk, units
           folded, dead code deleted); [None] when [config.narrow] is off *)
@@ -118,3 +122,17 @@ val synth_map :
   session:Session.t -> config -> Dataflow.Graph.t -> Net.t * Techmap.Lutgraph.t
 (** Elaborate, synthesise (with the configured optimisation passes) and
     LUT-map the graph, memoizing through the session's cache. *)
+
+val certify_placement :
+  cfdfcs:Buffering.Cfdfc.t list ->
+  Dataflow.Graph.t ->
+  Buffering.Formulation.placement ->
+  Dataflow.Graph.t * Analysis.Certify.t * Lint.Engine.report
+(** The placement audit both flows run after every MILP solve: add the
+    placement's new opaque buffers to a copy of the graph the MILP was
+    built on, certify that candidate ({!Analysis.Certify}: min cycle
+    ratio by Howard with a Karp cross-check, marked-graph liveness), and
+    check the MILP's per-CFDFC throughput claims ([cfdfcs] zipped with
+    the placement's [throughput]) against the certified bound
+    ({!Lint.Engine.check_perf}). Returns the candidate, its certificate
+    and the [perf] report. *)

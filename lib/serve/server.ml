@@ -1,7 +1,6 @@
 type config = {
   jobs : int;
   queue_limit : int;
-  levels : int option;
   milp_nodes : int option;
   milp_budget_s : float option;
   cache : Cache.Session.t;
@@ -12,7 +11,6 @@ let default_config =
   {
     jobs = 1;
     queue_limit = 8;
-    levels = None;
     milp_nodes = None;
     milp_budget_s = None;
     cache = Cache.Session.disabled;
@@ -44,10 +42,9 @@ let with_lock mu f =
   Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
 
 let flow_config cfg (req : Protocol.request) =
-  let base = cfg.flow in
-  match (match req.levels with Some _ as l -> l | None -> cfg.levels) with
-  | None -> base
-  | Some l -> { base with Core.Flow.target_levels = l }
+  match req.levels with
+  | None -> cfg.flow
+  | Some l -> { cfg.flow with Core.Flow.target_levels = l }
 
 (* Key for whole-completion memoisation: every input that can change
    the result — program, flavor, the effective flow config and the
@@ -66,14 +63,11 @@ let completion_key cfg session (req : Protocol.request) =
     (match req.source with Some s -> s | None -> "-");
   Printf.bprintf b "flavor=%s\n" (Protocol.flavor_name req.flavor);
   Printf.bprintf b
-    "levels=%d delay=%.9f iters=%d lutk=%d routing=%b slack=%b balance=%b \
-     lint=%b tv=%b narrow=%b\n"
-    fc.Core.Flow.target_levels fc.level_delay fc.max_iterations fc.lut_k
-    fc.routing_aware fc.slack_match fc.balance fc.lint_gates fc.tv_exact
-    fc.narrow;
-  Printf.bprintf b "milp cp=%.9f alpha=%.9f beta=%.9f pen=%b nodes=%d time=%.9f"
-    m.Buffering.Formulation.cp_target m.alpha m.beta m.use_penalty m.node_limit
-    m.time_limit;
+    "levels=%d iters=%d routing=%b slack=%b balance=%b tv=%b narrow=%b\n"
+    fc.Core.Flow.target_levels fc.max_iterations fc.routing_aware fc.slack_match
+    fc.balance fc.tv_exact fc.narrow;
+  Printf.bprintf b "milp pen=%b nodes=%d time=%.9f" m.Buffering.Formulation.use_penalty
+    m.node_limit m.time_limit;
   Cache.Hash.combine [ Buffer.contents b ]
 
 (* The real compile path. A named kernel runs the full evaluation

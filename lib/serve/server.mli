@@ -23,11 +23,12 @@
 type config = {
   jobs : int;              (** worker-pool width *)
   queue_limit : int;       (** max accepted-but-unfinished compiles; reject beyond *)
-  levels : int option;     (** server-wide target-levels override *)
   milp_nodes : int option;      (** default per-request MILP node budget *)
   milp_budget_s : float option; (** default per-request MILP wall budget *)
   cache : Cache.Session.t; (** shared across all requests; [finish]ed on drain *)
-  flow : Core.Flow.config; (** base flow configuration *)
+  flow : Core.Flow.config;
+      (** base flow configuration; a request's [levels] replaces its
+          [target_levels] *)
 }
 
 val default_config : config

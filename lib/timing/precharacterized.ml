@@ -1,8 +1,6 @@
 module G = Dataflow.Graph
 module K = Dataflow.Unit_kind
 
-let level_delay = 0.7
-
 (* The characterisation memo is shared across domains (baseline flows run
    concurrently under the experiment pool), so reads and writes are
    mutex-guarded: a torn Hashtbl resize would corrupt the table. Values
@@ -60,7 +58,7 @@ let characterize g uid =
   let net = Elaborate.run h in
   let synth = Techmap.Synth.run net in
   let lg = Techmap.Mapper.run synth in
-  float_of_int lg.Techmap.Lutgraph.max_level *. level_delay
+  float_of_int lg.Techmap.Lutgraph.max_level *. Support.Fabric.level_delay
 
 let unit_delay ~cache:cs g uid =
   let key = signature g uid in

@@ -48,10 +48,10 @@ type result = {
 }
 
 val run :
-  ?vectors:int -> ?seed:int -> ?exact:bool -> ?k:int -> Net.t -> Techmap.Lutgraph.t -> result
+  ?vectors:int -> ?seed:int -> ?exact:bool -> Net.t -> Techmap.Lutgraph.t -> result
 (** Validate netlist vs. [lg.synth.aig] vs. the LUT cover. [vectors]
-    defaults to 256 (4 words), [seed] is fixed, [k] (default 6) bounds
-    legal cut sizes, [exact] turns on witness confirmation. Emits
+    defaults to 256 (4 words), [seed] is fixed, {!Support.Fabric.lut_k}
+    bounds legal cut sizes, [exact] turns on witness confirmation. Emits
     [tv.*] trace counters. Raises [Failure] on a combinationally cyclic
     netlist. *)
 

@@ -10,9 +10,8 @@ open Milp
 let () =
   let name = Sys.argv.(1) in
   let levels = if Array.length Sys.argv > 2 then int_of_string Sys.argv.(2) else 4 in
-  let milp_cfg =
-    { Core.Flow.default_config.Core.Flow.milp with F.cp_target = float_of_int levels *. 0.7 }
-  in
+  let milp_cfg = Core.Flow.default_config.Core.Flow.milp in
+  let cp_target = Core.Flow.cp_target levels in
   let k = Hls.Kernels.by_name name in
   let input = Hls.Kernels.graph k in
   let g = G.copy input in
@@ -23,12 +22,10 @@ let () =
   List.iter (fun c -> G.set_buffer g c (Some { G.transparent = false; slots = 2 })) back;
   let net = Elaborate.run g in
   let synth = Techmap.Synth.run net in
-  let lg = Techmap.Mapper.run ~k:6 synth in
-  let _tg, model =
-    Timing.Mapping_aware.build_with_graph ~lut_delay:0.7 ~lut_extra:(fun _ -> 0.) g ~net lg
-  in
+  let lg = Techmap.Mapper.run synth in
+  let model = Timing.Mapping_aware.build g ~net lg in
   let cfdfcs = Buffering.Cfdfc.extract g in
-  match F.solve ~cache:Cache.Session.disabled milp_cfg g model cfdfcs with
+  match F.solve ~cache:Cache.Session.disabled ~cp_target milp_cfg g model cfdfcs with
   | Error e -> Printf.printf "formulation: error %s\n" e
   | Ok p ->
     Printf.printf "production: objective=%.9g buffers=%d\n" p.F.objective

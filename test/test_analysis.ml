@@ -324,12 +324,11 @@ let test_kernels_certified_vs_milp () =
       let cfg =
         {
           Buffering.Formulation.default_config with
-          cp_target = 4.2;
           use_penalty = false;
           node_limit = 5;
         }
       in
-      match Buffering.Formulation.solve ~cache:Fixtures.no_cache cfg g model cfdfcs with
+      match Buffering.Formulation.solve ~cache:Fixtures.no_cache ~cp_target:4.2 cfg g model cfdfcs with
       | Error msg -> Alcotest.fail (k.Hls.Kernels.name ^ ": MILP failed: " ^ msg)
       | Ok p ->
         let candidate = G.copy g in

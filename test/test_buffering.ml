@@ -49,7 +49,7 @@ let mk_model g pairs penalty_list =
     fake_nodes = 0;
   }
 
-let cfg = { F.default_config with F.cp_target = 4.2 }
+let cfg = F.default_config
 
 let test_milp_forces_buffer () =
   (* reg -> c0 -> reg path with 3.0 + 3.0 delay: must buffer c0 *)
@@ -62,7 +62,7 @@ let test_milp_forces_buffer () =
       ]
       []
   in
-  match F.solve ~cache:Fixtures.no_cache cfg g model [] with
+  match F.solve ~cache:Fixtures.no_cache ~cp_target:4.2 cfg g model [] with
   | Ok p ->
     check (Alcotest.list Alcotest.int) "c0 buffered" [ c0 ] p.F.new_buffers;
     check Alcotest.bool "proved" true p.F.proved_optimal
@@ -75,7 +75,7 @@ let test_milp_no_buffer_when_fast () =
       [ (M.T_reg, M.T_chan_fwd c0, 1.0); (M.T_chan_fwd c0, M.T_reg, 1.0) ]
       []
   in
-  match F.solve ~cache:Fixtures.no_cache cfg g model [] with
+  match F.solve ~cache:Fixtures.no_cache ~cp_target:4.2 cfg g model [] with
   | Ok p -> check (Alcotest.list Alcotest.int) "no buffers" [] p.F.new_buffers
   | Error e -> Alcotest.fail e
 
@@ -91,11 +91,11 @@ let test_milp_penalty_steers_choice () =
     ]
   in
   let model = mk_model g pairs [ (c0, 0.9); (c1, 0.0) ] in
-  (match F.solve ~cache:Fixtures.no_cache { cfg with F.use_penalty = true } g model [] with
+  (match F.solve ~cache:Fixtures.no_cache ~cp_target:4.2 { cfg with F.use_penalty = true } g model [] with
   | Ok p -> check (Alcotest.list Alcotest.int) "penalty avoids c0" [ c1 ] p.F.new_buffers
   | Error e -> Alcotest.fail e);
   (* sanity: one buffer suffices in either mode *)
-  match F.solve ~cache:Fixtures.no_cache { cfg with F.use_penalty = false } g model [] with
+  match F.solve ~cache:Fixtures.no_cache ~cp_target:4.2 { cfg with F.use_penalty = false } g model [] with
   | Ok p -> check Alcotest.int "eq.1 places one buffer" 1 (List.length p.F.new_buffers)
   | Error e -> Alcotest.fail e
 
@@ -107,7 +107,7 @@ let test_milp_ready_direction () =
       [ (M.T_reg, M.T_chan_bwd c0, 3.0); (M.T_chan_bwd c0, M.T_reg, 3.0) ]
       []
   in
-  match F.solve ~cache:Fixtures.no_cache cfg g model [] with
+  match F.solve ~cache:Fixtures.no_cache ~cp_target:4.2 cfg g model [] with
   | Ok p -> check (Alcotest.list Alcotest.int) "c0 buffered" [ c0 ] p.F.new_buffers
   | Error e -> Alcotest.fail e
 
@@ -118,7 +118,7 @@ let test_milp_unfixable_counted () =
       [ (M.T_reg, M.T_reg, 9.9); (M.T_reg, M.T_chan_fwd c0, 1.0) ]
       []
   in
-  match F.solve ~cache:Fixtures.no_cache cfg g model [] with
+  match F.solve ~cache:Fixtures.no_cache ~cp_target:4.2 cfg g model [] with
   | Ok p -> check Alcotest.int "unfixable" 1 p.F.unfixable_paths
   | Error e -> Alcotest.fail e
 
@@ -130,7 +130,7 @@ let test_milp_loop_throughput () =
   (* the seeded back-edge buffer is fixed at R=1 *)
   let model = mk_model g [] [] in
   let cfdfcs = Buffering.Cfdfc.extract g in
-  match F.solve ~cache:Fixtures.no_cache cfg g model cfdfcs with
+  match F.solve ~cache:Fixtures.no_cache ~cp_target:4.2 cfg g model cfdfcs with
   | Ok p ->
     check Alcotest.bool "back edge stays buffered" true (List.mem back p.F.all_buffered);
     (match p.F.throughput with
@@ -147,7 +147,7 @@ let test_milp_cycle_legality () =
   let g, back = Fixtures.loop ~buffered:false () in
   let model = mk_model g [] [] in
   let cfdfcs = Buffering.Cfdfc.extract g in
-  match F.solve ~cache:Fixtures.no_cache cfg g model cfdfcs with
+  match F.solve ~cache:Fixtures.no_cache ~cp_target:4.2 cfg g model cfdfcs with
   | Ok p ->
     check Alcotest.bool "at least one buffer placed" true (List.length p.F.new_buffers >= 1);
     ignore back
@@ -172,7 +172,7 @@ let test_milp_throughput_degrades () =
   G.set_buffer g extra (Some { G.transparent = false; slots = 2 });
   let model = mk_model g [] [] in
   let cfdfcs = Buffering.Cfdfc.extract g in
-  match F.solve ~cache:Fixtures.no_cache cfg g model cfdfcs with
+  match F.solve ~cache:Fixtures.no_cache ~cp_target:4.2 cfg g model cfdfcs with
   | Ok p ->
     (match p.F.throughput with
     | [ th ] -> check Alcotest.bool "throughput at most 1/2" true (th <= 0.5 +. 1e-6)

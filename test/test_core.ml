@@ -45,12 +45,23 @@ let test_tight_target_iterates () =
       Core.Flow.default_config with
       Core.Flow.target_levels = 1;
       max_iterations = 2;
-      milp = { Core.Flow.default_config.Core.Flow.milp with Buffering.Formulation.cp_target = 0.7 };
     }
   in
   let outcome = Core.Flow.iterative ~session:Fixtures.session ~config g in
   check Alcotest.bool "did not meet target" false outcome.Core.Flow.met_target;
   check Alcotest.int "used the budget" 2 (List.length outcome.Core.Flow.iterations)
+
+(* The level target is the only target: the MILP's clock-period target
+   is derived from it, so setting [target_levels] alone reaches a
+   tighter target. gsum at 4 levels needs the 2.8 ns CP — a config that
+   kept the default 4.2 ns CP would stop at 6 levels. *)
+let test_level_target_drives_cp () =
+  let config = { Core.Flow.default_config with Core.Flow.target_levels = 4 } in
+  let outcome =
+    Core.Flow.iterative ~session:Fixtures.session ~config
+      (Hls.Kernels.graph (Hls.Kernels.by_name "gsum"))
+  in
+  check Alcotest.bool "4-level target met" true outcome.Core.Flow.met_target
 
 (* Slack matching runs before the final level check, so every recorded
    final field describes the circuit the flow actually returns: the
@@ -66,8 +77,7 @@ let test_slack_matched_outcome () =
   (* re-synthesise the returned graph: the recorded netlist and mapping
      must be those of the post-slack circuit, not a stale pre-slack one *)
   let renet = Elaborate.run on.Core.Flow.graph in
-  let relg = Techmap.Mapper.run ~k:Core.Flow.default_config.Core.Flow.lut_k
-      (Techmap.Synth.run renet) in
+  let relg = Techmap.Mapper.run (Techmap.Synth.run renet) in
   check Alcotest.int "final_levels is the post-slack level count"
     relg.Techmap.Lutgraph.max_level on.Core.Flow.final_levels;
   check Alcotest.int "lutgraph matches the final circuit's levels"
@@ -113,22 +123,20 @@ let test_final_lint_gate_runs () =
   check Alcotest.bool "baseline audit ends with final-dfg" true
     (List.mem "final-dfg" baseline.Core.Flow.lint_stages);
   check Alcotest.bool "iterative audit ends with final-dfg" true
-    (List.mem "final-dfg" iterative.Core.Flow.lint_stages);
-  check Alcotest.bool "gates off leaves no audit trail" true
-    (let config = { Core.Flow.default_config with Core.Flow.lint_gates = false } in
-     (Core.Flow.baseline ~session:Fixtures.session ~config g).Core.Flow.lint_stages = [])
+    (List.mem "final-dfg" iterative.Core.Flow.lint_stages)
 
 (* The LUT input count is not a cosmetic default: mapping the same
-   netlist at a different k changes the level count, so benchmarks must
-   pass the flow's [lut_k] explicitly rather than rely on the mapper's
-   default agreeing with it. *)
+   netlist at a different k changes the level count, so the mapper's
+   default must be the fabric's [lut_k] that the flow, its synthmap key
+   and the translation validator all assume. *)
 let test_mapper_k_matters () =
   let g = Hls.Kernels.graph Fixtures.tsum in
   ignore (Core.Flow.seed_back_edges g);
   let synth = Techmap.Synth.run (Elaborate.run g) in
   let at k = (Techmap.Mapper.run ~k synth).Techmap.Lutgraph.max_level in
-  check Alcotest.int "flow default is 6-LUT" 6
-    Core.Flow.default_config.Core.Flow.lut_k;
+  check Alcotest.int "fabric is 6-LUT" 6 Support.Fabric.lut_k;
+  check Alcotest.int "mapper default is the fabric's k" (at 6)
+    (Techmap.Mapper.run synth).Techmap.Lutgraph.max_level;
   check Alcotest.bool "k=3 maps deeper than k=6" true (at 3 > at 6)
 
 let test_report_pct () =
@@ -195,6 +203,7 @@ let suite =
     ("baseline flow on loop", `Quick, test_baseline_on_loop);
     ("input graph not mutated", `Quick, test_input_not_mutated);
     ("tight target exhausts iterations", `Quick, test_tight_target_iterates);
+    ("level target alone sets the CP target", `Slow, test_level_target_drives_cp);
     ("slack matching precedes the final record", `Quick, test_slack_matched_outcome);
     ("measure reads the flow netlist", `Quick, test_measure_uses_flow_netlist);
     ("final lint gate runs in both flavors", `Quick, test_final_lint_gate_runs);

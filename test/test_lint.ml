@@ -318,8 +318,10 @@ let test_milp_solve_failure () =
 let test_milp_real_certificate () =
   (* a real solve on fig2 must pass its own certificate check *)
   let g, (_, _, _, model) = fig2_pipeline () in
-  let cfg = { Buffering.Formulation.default_config with cp_target = 4.2 } in
-  match Buffering.Formulation.solve ~cache:Fixtures.no_cache cfg g model (Buffering.Cfdfc.extract g) with
+  match
+    Buffering.Formulation.solve ~cache:Fixtures.no_cache ~cp_target:4.2
+      Buffering.Formulation.default_config g model (Buffering.Cfdfc.extract g)
+  with
   | Error msg -> Alcotest.fail ("solve failed: " ^ msg)
   | Ok p ->
     let r =
@@ -365,11 +367,7 @@ let test_flow_collects_report () =
   let g, _ = Fixtures.loop () in
   let cfg = { Core.Flow.default_config with max_iterations = 1 } in
   let out = Core.Flow.iterative ~session:Fixtures.session ~config:cfg g in
-  check Alcotest.int "no errors survive a completed run" 0 out.Core.Flow.lint.E.errors;
-  let off = { cfg with Core.Flow.lint_gates = false } in
-  let out = Core.Flow.iterative ~session:Fixtures.session ~config:off g in
-  check Alcotest.int "gates off: nothing collected" 0
-    (List.length out.Core.Flow.lint.E.diagnostics)
+  check Alcotest.int "no errors survive a completed run" 0 out.Core.Flow.lint.E.errors
 
 let suite =
   [

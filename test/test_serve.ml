@@ -359,9 +359,13 @@ let test_poisoned_request_keeps_serving () =
 (* ------------------------------------------------------------------ *)
 (* determinism: concurrently served digests == serial one-shot digests *)
 
-let serial_digest src flavor =
+let serial_digest src flavor levels =
   let g = Hls.Compile.compile (Hls.Parser.parse src) in
-  let config = Fixtures.cheap_flow_config in
+  let config =
+    match levels with
+    | None -> Fixtures.cheap_flow_config
+    | Some l -> { Fixtures.cheap_flow_config with Core.Flow.target_levels = l }
+  in
   let outcome =
     match flavor with
     | `Iterative -> Core.Flow.iterative ~session:Fixtures.session ~config g
@@ -369,22 +373,31 @@ let serial_digest src flavor =
   in
   P.outcome_digest outcome
 
+(* A request's [levels] is the level target of its flow, clock-period
+   target included: the served digest at each level target must be the
+   serial one-shot digest at that [target_levels]. *)
 let test_concurrent_digests_deterministic () =
   let shapes =
     List.concat_map
       (fun k ->
-        List.map
-          (fun flavor -> (k.Hls.Kernels.source, flavor))
+        List.concat_map
+          (fun flavor ->
+            List.map (fun levels -> (k.Hls.Kernels.source, flavor, levels)) [ None; Some 4 ])
           [ `Iterative; `Baseline ])
       Fixtures.tiny_kernels
   in
-  let expected = List.map (fun (src, fl) -> serial_digest src fl) shapes in
+  let expected = List.map (fun (src, fl, levels) -> serial_digest src fl levels) shapes in
+  (* shapes come in (default, 4-level) pairs: the target must reach the
+     flow, or the served-vs-serial comparison below proves nothing *)
+  let rec pairs = function a :: b :: rest -> (a, b) :: pairs rest | _ -> [] in
+  check Alcotest.bool "the level target changes some digest" true
+    (List.exists (fun (a, b) -> a <> b) (pairs expected));
   (* each shape twice, all in flight together on four domains *)
   let requests =
     List.concat (List.init 2 (fun round ->
         List.mapi
-          (fun i (src, flavor) ->
-            (i, req ~source:src ~flavor (Printf.sprintf "q%d-%d" round i)))
+          (fun i (src, flavor, levels) ->
+            (i, req ~source:src ~flavor ?levels (Printf.sprintf "q%d-%d" round i)))
           shapes))
   in
   let t =
