@@ -13,21 +13,25 @@ let kernels_arg =
   let doc = "Benchmark kernel name (see `regulate list`)." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"KERNEL" ~doc)
 
+(* A strictly positive integer flag value; errors name the flag. *)
+let pos_int flag =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ -> Error (`Msg (flag ^ " must be >= 1"))
+    | None -> Error (`Msg (Printf.sprintf "%s: expected an integer, got %S" flag s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let jobs_arg =
   let doc =
     "Worker domains for multi-kernel runs (default: the $(b,REPRO_JOBS) environment variable, \
      else 1). Results and output order are identical at any width."
   in
-  let width =
-    let parse s =
-      match int_of_string_opt s with
-      | Some j when j >= 1 -> Ok j
-      | Some _ -> Error (`Msg "jobs must be >= 1")
-      | None -> Error (`Msg (Printf.sprintf "expected an integer, got %S" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  Arg.(value & opt width (Support.Pool.default_jobs ()) & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt (pos_int "--jobs") (Support.Pool.default_jobs ())
+    & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let trace_arg =
   let doc =
@@ -57,24 +61,20 @@ let cycle_cap_arg =
 
 let milp_nodes_arg =
   let doc =
-    "Per-solve MILP branch-and-bound node budget (default 20000). A solve that exhausts it \
-     fails with a clean $(b,node budget exhausted) error instead of running unbounded."
+    Printf.sprintf
+      "Per-solve MILP branch-and-bound node budget (default %d): the one limit that decides \
+       the answer, so a result depends on the inputs and the flags, never on the machine's \
+       speed or load. A search that spends it returns its best placement so far; one that \
+       finds none fails with a clean $(b,node budget exhausted) error."
+      Buffering.Formulation.default_config.Buffering.Formulation.node_limit
   in
-  let nodes_conv =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | Some _ -> Error (`Msg "--milp-nodes must be >= 1")
-      | None -> Error (`Msg (Printf.sprintf "--milp-nodes: expected an integer, got %S" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  Arg.(value & opt (some nodes_conv) None & info [ "milp-nodes" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some (pos_int "--milp-nodes")) None & info [ "milp-nodes" ] ~docv:"N" ~doc)
 
 let milp_budget_arg =
   let doc =
-    "Per-solve MILP wall-clock budget in seconds (default 120). Exhaustion is reported like a \
-     node-budget blowout: a clean error, never a hang."
+    "Per-solve MILP wall-clock safety cancel in seconds (default: none). It never changes a \
+     result: a solve that runs past it is abandoned at the next branch-and-bound node with a \
+     clean $(b,wall budget exhausted) error, and nothing is cached."
   in
   let budget_conv =
     let parse s =
@@ -733,8 +733,8 @@ let verify_kernel ~session ~levels ~milp ~cycle_cap k =
         { Buffering.Formulation.default_config with use_penalty = false }
     in
     match
-      Buffering.Formulation.solve ~cache ~cp_target:(Core.Flow.cp_target levels) cfg g model
-        cfdfcs
+      Buffering.Formulation.solve ~cache ~poll:(Core.Session.milp_poll session)
+        ~cp_target:(Core.Flow.cp_target levels) cfg g model cfdfcs
     with
     | Error msg ->
       (Analysis.Certify.certify g, Lint.Engine.of_diagnostics [ Lint.Milp_rules.solve_failure msg ])
@@ -1119,16 +1119,7 @@ let serve_cmd =
        (default 8). Requests beyond it are rejected with $(b,server-busy), not queued \
        unboundedly."
     in
-    let limit_conv =
-      let parse s =
-        match int_of_string_opt s with
-        | Some n when n >= 1 -> Ok n
-        | Some _ -> Error (`Msg "--queue-limit must be >= 1")
-        | None -> Error (`Msg (Printf.sprintf "--queue-limit: expected an integer, got %S" s))
-      in
-      Arg.conv (parse, Format.pp_print_int)
-    in
-    Arg.(value & opt limit_conv 8 & info [ "queue-limit" ] ~docv:"N" ~doc)
+    Arg.(value & opt (pos_int "--queue-limit") 8 & info [ "queue-limit" ] ~docv:"N" ~doc)
   in
   let run socket jobs queue_limit levels no_narrow (session : Core.Session.t) =
     (* the command's session supplies the shared store and the
@@ -1175,16 +1166,9 @@ let loadgen_cmd =
       & info [ "socket" ] ~docv:"PATH" ~doc:"The daemon's Unix-domain socket.")
   in
   let count =
-    let count_conv =
-      let parse s =
-        match int_of_string_opt s with
-        | Some n when n >= 1 -> Ok n
-        | Some _ -> Error (`Msg "-n must be >= 1")
-        | None -> Error (`Msg (Printf.sprintf "-n: expected an integer, got %S" s))
-      in
-      Arg.conv (parse, Format.pp_print_int)
-    in
-    Arg.(value & opt count_conv 200 & info [ "n"; "requests" ] ~docv:"N" ~doc:"Request count (default 200).")
+    Arg.(
+      value & opt (pos_int "-n") 200
+      & info [ "n"; "requests" ] ~docv:"N" ~doc:"Request count (default 200).")
   in
   let window =
     Arg.(

@@ -5,15 +5,9 @@ module M = Timing.Model
 type config = {
   use_penalty : bool;
   node_limit : int;
-  time_limit : float;
 }
 
-let default_config =
-  {
-    use_penalty = true;
-    node_limit = 20_000;
-    time_limit = 120.;
-  }
+let default_config = { use_penalty = true; node_limit = 2_000 }
 
 type placement = {
   new_buffers : G.channel_id list;
@@ -32,7 +26,7 @@ type placement = {
 let alpha = 10.
 let beta = 0.05
 
-let solve ~cache ?warm ~cp_target:cp cfg g (model : M.t) cfdfcs =
+let solve ~cache ?poll ?warm ~cp_target:cp cfg g (model : M.t) cfdfcs =
   let lp = Milp.Lp.create (G.name g ^ "_buffering") in
   let unfixable = ref 0 in
   (* ---- R_c variables ---- *)
@@ -289,13 +283,14 @@ let solve ~cache ?warm ~cp_target:cp cfg g (model : M.t) cfdfcs =
         with_fixed_rs (fun _ v -> x.(v) > 1e-4) solve_fixed
       | None, _ -> None
     in
-    Milp.Bb.solve ~node_limit:cfg.node_limit ~time_limit:cfg.time_limit ?initial
-      ?warm:root_basis ~cert_bound lp
+    Milp.Bb.solve ~node_limit:cfg.node_limit ?poll ?initial ?warm:root_basis ~cert_bound lp
   in
   (* The solved assignment is memoized on the canonical hash of the
-     formulation itself (plus the search budget): a warm run skips both
+     formulation itself (plus the node budget): a warm run skips both
      the rounding heuristic's simplex solves and the branch & bound.
-     The cached solution is still checked row-by-row against the
+     The answer is a function of exactly what the key holds — a [poll]
+     that stops the solve raises, so no clock-dependent answer is ever
+     stored. The cached solution is still checked row-by-row against the
      freshly built [lp] by the milp lint gate downstream, so a cache
      that somehow served a wrong assignment would be flagged, not
      silently trusted. *)
@@ -306,14 +301,11 @@ let solve ~cache ?warm ~cp_target:cp cfg g (model : M.t) cfdfcs =
            optima branch & bound returns the first one found, which a
            different incumbent seed can legitimately change — the cache
            must not serve a differently-seeded run's assignment. The
-           search budgets participate too: a tighter budget can stop at
-           a weaker incumbent, and an entry computed under one budget
-           must not answer for another. *)
+           node budget participates too: a tighter budget can stop at a
+           weaker incumbent, and an entry computed under one budget must
+           not answer for another. *)
         Cache.Hash.combine
-          ([
-             Cache.Hash.lp lp;
-             Printf.sprintf "node_limit=%d;time_limit=%g" cfg.node_limit cfg.time_limit;
-           ]
+          ([ Cache.Hash.lp lp; Printf.sprintf "node_limit=%d" cfg.node_limit ]
           @
           match warm with
           | None -> []

@@ -22,10 +22,9 @@
 
 type config = {
   use_penalty : bool;
-  node_limit : int;     (** branch & bound node budget *)
-  time_limit : float;
-      (** branch & bound wall-clock budget, seconds (default 120; the
-          [regulate serve] admission control narrows it per request) *)
+  node_limit : int;
+      (** branch & bound node budget: the one limit that decides the
+          answer (see {!Milp.Bb.solve}) *)
 }
 
 val default_config : config
@@ -47,6 +46,7 @@ type placement = {
 
 val solve :
   cache:Cache.Session.t ->
+  ?poll:(unit -> unit) ->
   ?warm:Dataflow.Graph.channel_id list ->
   cp_target:float ->
   config ->
@@ -57,8 +57,10 @@ val solve :
 (** [cp_target] is the clock-period target in ns: a level target times
     {!Support.Fabric.level_delay} (the paper's 6 levels give 4.2).
     [cache] is the session whose artifact store memoizes the solved
-    assignment ({!Cache.Session.disabled} to always solve). [warm] is
-    the previous flow iteration's [all_buffered] placement: it is
+    assignment ({!Cache.Session.disabled} to always solve), keyed on all
+    the answer depends on: the formulation, the node budget and [warm].
+    [poll] goes to {!Milp.Bb.solve}; if it raises, nothing is memoized.
+    [warm] is the previous flow iteration's [all_buffered] placement: it is
     re-priced under the current model (every listed [R_c] pinned to
     1, the rest to 0, one warm-started LP over the continuous variables)
     and, when feasible, seeds branch & bound's incumbent in place of the

@@ -212,8 +212,8 @@ let iterative ?(config = default_config) ~session input =
      previous one) *)
   let step it fixed prev =
     (* cooperative cancellation: a served request is abandoned at
-       iteration boundaries (and again right before the MILP below, the
-       longest single stage), never mid-solve *)
+       iteration boundaries, right before the MILP below and at every
+       branch & bound node inside it (the longest single stage) *)
     Session.check_cancel session;
     Session.status session (Printf.sprintf "iteration %d" it);
     (* the working circuit for this iteration: base + fixed buffers *)
@@ -275,8 +275,9 @@ let iterative ?(config = default_config) ~session input =
     Session.status session "milp";
     match
       Trace.with_span "flow:milp" (fun () ->
-          Buffering.Formulation.solve ~cache:session.Session.cache ?warm:milp_warm ~cp_target
-            milp_cfg g model cfdfcs)
+          Buffering.Formulation.solve ~cache:session.Session.cache
+            ~poll:(Session.milp_poll session) ?warm:milp_warm ~cp_target milp_cfg g model
+            cfdfcs)
     with
     | Error msg -> failwith ("Flow.iterative: " ^ msg)
     | Ok placement ->
@@ -393,7 +394,8 @@ let baseline ?(config = default_config) ~session input =
   Session.status session "milp";
   match
     Trace.with_span "flow:milp" (fun () ->
-        Buffering.Formulation.solve ~cache:session.Session.cache ~cp_target milp g model cfdfcs)
+        Buffering.Formulation.solve ~cache:session.Session.cache
+          ~poll:(Session.milp_poll session) ~cp_target milp g model cfdfcs)
   with
   | Error msg -> failwith ("Flow.baseline: " ^ msg)
   | Ok placement ->

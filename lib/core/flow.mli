@@ -110,9 +110,10 @@ val seed_back_edges : Dataflow.Graph.t -> Dataflow.Graph.channel_id list
 val iterative : ?config:config -> session:Session.t -> Dataflow.Graph.t -> outcome
 (** Mapping-aware iterative flow. The input graph is not mutated.
     [session] supplies the cache handle, MILP budget overrides, the
-    cooperative-cancellation poll (checked at every iteration boundary
-    and before every MILP solve — raises {!Session.Cancelled}) and the
-    status sink. *)
+    cooperative-cancellation poll (checked at every iteration boundary,
+    before every MILP solve and at every branch & bound node — raises
+    {!Session.Cancelled}), the MILP wall-clock safety cancel
+    ({!Session.milp_poll}) and the status sink. *)
 
 val baseline : ?config:config -> session:Session.t -> Dataflow.Graph.t -> outcome
 (** Mapping-agnostic one-shot flow (the paper's "Prev."). Takes the same

@@ -19,9 +19,16 @@ let check_cancel t = if t.cancelled () then raise Cancelled
 let status t msg = match t.on_status with None -> () | Some f -> f msg
 
 let milp_config t (cfg : Buffering.Formulation.config) =
-  {
-    cfg with
-    Buffering.Formulation.node_limit =
-      Option.value t.milp_nodes ~default:cfg.Buffering.Formulation.node_limit;
-    time_limit = Option.value t.milp_budget_s ~default:cfg.Buffering.Formulation.time_limit;
-  }
+  match t.milp_nodes with
+  | None -> cfg
+  | Some n -> { cfg with Buffering.Formulation.node_limit = n }
+
+let milp_poll t =
+  match t.milp_budget_s with
+  | None -> fun () -> check_cancel t
+  | Some budget ->
+    let deadline = Unix.gettimeofday () +. budget in
+    fun () ->
+      check_cancel t;
+      if Unix.gettimeofday () > deadline then
+        failwith (Printf.sprintf "buffer MILP wall budget exhausted (%gs)" budget)

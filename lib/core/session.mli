@@ -12,14 +12,15 @@
 
 exception Cancelled
 (** Raised by {!check_cancel} (i.e. from inside a flow, between
-    iterations and before each MILP solve) when the session's
-    [cancelled] poll returns true. Cooperative: a request is only ever
-    abandoned at a stage boundary, never mid-pivot. *)
+    iterations, before each MILP solve and at every branch & bound node
+    through {!milp_poll}) when the session's [cancelled] poll returns
+    true. Cooperative: a request is abandoned at a stage boundary or
+    between two nodes, never mid-pivot. *)
 
 type t = {
   cache : Cache.Session.t;      (** artifact cache handle (possibly disabled) *)
   milp_nodes : int option;      (** per-request B&B node-budget override *)
-  milp_budget_s : float option; (** per-request B&B wall-budget override, seconds *)
+  milp_budget_s : float option; (** per-solve MILP wall-clock cancel ({!milp_poll}) *)
   cancelled : unit -> bool;     (** cooperative cancellation poll; must be cheap *)
   on_status : (string -> unit) option;
       (** per-request status sink (streamed to daemon clients); called
@@ -44,4 +45,10 @@ val status : t -> string -> unit
 (** Feed the status sink, if any. *)
 
 val milp_config : t -> Buffering.Formulation.config -> Buffering.Formulation.config
-(** Apply the session's budget overrides to a MILP config. *)
+(** Apply the session's node-budget override to a MILP config. *)
+
+val milp_poll : t -> unit -> unit
+(** The [poll] for one {!Buffering.Formulation.solve}: raises
+    {!Cancelled} once [t] is cancelled and [Failure "buffer MILP wall
+    budget exhausted …"] once [milp_budget_s] has passed since this
+    call. The clock can only abandon a solve, never change its answer. *)

@@ -29,7 +29,7 @@ let is_explained_failure msg =
     let rec go i = i + n <= m && (String.sub msg i n = sub || go (i + 1)) in
     go 0
   in
-  has "node budget exhausted" || has "budget exhausted" || has "MILP infeasible"
+  has "budget exhausted" || has "MILP infeasible"
 
 (* The per-SCC steady-state bound equalizes rates only in choice-free
    circuits. A nested loop merges the inner loop into the outer loop's

@@ -70,10 +70,11 @@ let warm_heap_cap = 4096
    bound) to stderr every 1000 nodes *)
 let debug = Sys.getenv_opt "MILP_BB_DEBUG" <> None
 
-let solve ?(node_limit = 50_000) ?(eps = 1e-6) ?(time_limit = 120.) ?initial ?warm
-    ?cert_bound lp =
+(* integrality tolerance *)
+let eps = 1e-6
+
+let solve ?(node_limit = 50_000) ?(poll = ignore) ?initial ?warm ?cert_bound lp =
   Support.Trace.with_span ~cat:"milp" "milp:bb" @@ fun () ->
-  let started = Unix.gettimeofday () in
   let maximize, obj_terms = Lp.objective lp in
   let sense = if maximize then 1. else -1. in
   let nv = Lp.n_vars lp in
@@ -166,7 +167,14 @@ let solve ?(node_limit = 50_000) ?(eps = 1e-6) ?(time_limit = 120.) ?initial ?wa
     | None -> false
   in
   let root, root_basis = relax ?warm [] in
-  let result =
+  (* the counters and the caller's bounds survive a [poll] that raises *)
+  Fun.protect ~finally:(fun () ->
+      Support.Trace.add "milp.bb.nodes" !nodes;
+      Support.Trace.add "milp.lp.relaxations" !relaxations;
+      Support.Trace.add "milp.bb.fathomed_by_cert" !fathomed_by_cert;
+      Support.Trace.add "milp.bb.rc_fixed" !rc_fixed;
+      restore ())
+  @@ fun () ->
     match root with
     | Simplex.Infeasible -> Infeasible
     | Simplex.Unbounded -> Unbounded
@@ -202,14 +210,13 @@ let solve ?(node_limit = 50_000) ?(eps = 1e-6) ?(time_limit = 120.) ?initial ?wa
          the most fractional variable to its nearest integer and
          re-solving warm; if that side is infeasible (or no longer beats
          the incumbent), try the other rounding once before giving up.
-         Each step is a handful of warm pivots, the dive is at most one
-         LP per fractional variable, and the integral leaf it reaches is
-         an LP solution — feasible by construction. Budget-limited
-         searches depend on a strong early incumbent far more than on
-         node order: best-first alone can spend its whole budget before
-         stumbling on an integral vertex. *)
+         Each step is a handful of warm pivots, the dive is at most two
+         LPs per integer variable (each step fixes a fresh one), and the
+         integral leaf it reaches is an LP solution — feasible by
+         construction. Budget-limited searches depend on a strong early
+         incumbent far more than on node order: best-first alone can
+         spend its whole budget before stumbling on an integral vertex. *)
       let dive () =
-        let deadline_hit () = Unix.gettimeofday () -. started > time_limit *. 0.25 in
         let rec go fixes warm x =
           match most_fractional x with
           | None ->
@@ -218,7 +225,8 @@ let solve ?(node_limit = 50_000) ?(eps = 1e-6) ?(time_limit = 120.) ?initial ?wa
               incumbent := Some (o, Array.copy x);
               refresh_rc_fixes ()
             end
-          | Some (v, _) when not (deadline_hit ()) ->
+          | Some (v, _) ->
+            poll ();
             let r = Float.round x.(v) in
             let try_fix value k =
               match relax ?warm ((v, value, value) :: fixes) with
@@ -231,7 +239,6 @@ let solve ?(node_limit = 50_000) ?(eps = 1e-6) ?(time_limit = 120.) ?initial ?wa
             try_fix r (fun () ->
                 if other >= lo -. 1e-9 && other <= hi +. 1e-9 then
                   try_fix other (fun () -> ()))
-          | Some _ -> ()
         in
         go [] root_basis root_x
       in
@@ -253,11 +260,12 @@ let solve ?(node_limit = 50_000) ?(eps = 1e-6) ?(time_limit = 120.) ?initial ?wa
         match Heap.pop heap with
         | None -> continue := false
         | Some nd ->
-          if !nodes >= node_limit || Unix.gettimeofday () -. started > time_limit then begin
+          if !nodes >= node_limit then begin
             exhausted := true;
             continue := false
           end
           else begin
+            poll ();
             incr nodes;
             if debug && !nodes mod 1000 = 0 then
               Printf.eprintf "[bb] nodes=%d heap=%d incumbent=%s top_bound=%.9g\n%!"
@@ -337,10 +345,3 @@ let solve ?(node_limit = 50_000) ?(eps = 1e-6) ?(time_limit = 120.) ?initial ?wa
         let obj_r = Lp.eval_expr obj_terms xr in
         let obj, x = if Lp.feasible lp xr then (obj_r, xr) else (obj, x) in
         Optimal { obj; x; proved_optimal = not !exhausted; nodes = !nodes })
-  in
-  Support.Trace.add "milp.bb.nodes" !nodes;
-  Support.Trace.add "milp.lp.relaxations" !relaxations;
-  Support.Trace.add "milp.bb.fathomed_by_cert" !fathomed_by_cert;
-  Support.Trace.add "milp.bb.rc_fixed" !rc_fixed;
-  restore ();
-  result

@@ -22,33 +22,34 @@ type result =
   | Infeasible
   | Unbounded
   | Exhausted
-      (** The node or time budget ran out before any integer-feasible
-          point was found. Distinct from [Infeasible]: the model may
-          well have solutions, the search just never reached one.
-          (Budget exhaustion {e with} an incumbent still returns
-          [Optimal] with [proved_optimal = false].) *)
+      (** The node budget ran out before any integer-feasible point was
+          found. Distinct from [Infeasible]: the model may well have
+          solutions, the search just never reached one. (Budget
+          exhaustion {e with} an incumbent still returns [Optimal] with
+          [proved_optimal = false].) *)
 
 val solve :
   ?node_limit:int ->
-  ?eps:float ->
-  ?time_limit:float ->
+  ?poll:(unit -> unit) ->
   ?initial:float array ->
   ?warm:Simplex.basis ->
   ?cert_bound:((int * float * float) list -> float) ->
   Lp.t ->
   result
-(** Defaults: [node_limit = 50_000], integrality tolerance [eps = 1e-6],
-    [time_limit = 120.] seconds (wall clock; on expiry the incumbent is
-    returned with [proved_optimal = false], mirroring a solver time
-    limit). [initial], when feasible and integral, seeds the incumbent
-    so the search starts with a pruning bound. [warm] seeds the root
-    relaxation's basis (e.g. from the previous flow iteration's solve of
-    the structurally identical model). [cert_bound fixes] must return a
-    {e sound} bound on the objective of any feasible point inside the
-    node box described by [fixes] (an upper bound when maximising, lower
-    when minimising): nodes whose certified bound cannot beat the
-    incumbent are fathomed without an LP solve, and the search stops
-    early once the incumbent reaches the certified root bound. The
-    returned incumbent has its integer variables rounded exactly, its
-    objective re-evaluated at the rounded point, and falls back to the
-    unrounded (LP-feasible) point if rounding broke a constraint. *)
+(** Defaults: [node_limit = 50_000], [poll] a no-op; integrality
+    tolerance 1e-6. Only the node budget stops a search short of a
+    proof, so the result never depends on the clock. [poll] runs once
+    per node and per root-dive step; an exception it raises abandons
+    the solve (the model's bounds are restored). [initial], when
+    feasible and integral, seeds the incumbent so the search starts
+    with a pruning bound. [warm] seeds the root relaxation's basis
+    (e.g. from the previous flow iteration's solve of the structurally
+    identical model). [cert_bound fixes] must return a {e sound} bound
+    on the objective of any feasible point inside the node box
+    described by [fixes] (an upper bound when maximising, lower when
+    minimising): nodes whose certified bound cannot beat the incumbent
+    are fathomed without an LP solve, and the search stops early once
+    the incumbent reaches the certified root bound. The returned
+    incumbent has its integer variables rounded exactly, its objective
+    re-evaluated at the rounded point, and falls back to the unrounded
+    (LP-feasible) point if rounding broke a constraint. *)

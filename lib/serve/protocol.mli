@@ -19,7 +19,7 @@ type request = {
   flavor : flavor;
   levels : int option;            (** target logic levels override *)
   milp_nodes : int option;        (** per-request MILP node budget *)
-  milp_budget_s : float option;   (** per-request MILP wall budget, seconds *)
+  milp_budget_s : float option;   (** per-request MILP wall-clock cancel, seconds *)
 }
 
 type command =

@@ -48,7 +48,9 @@ let flow_config cfg (req : Protocol.request) =
 
 (* Key for whole-completion memoisation: every input that can change
    the result — program, flavor, the effective flow config and the
-   session-effective MILP budgets. Two requests with the same key are
+   session-effective node budget. The wall budget is absent on purpose:
+   it only cancels, and a cancelled compile raises, so nothing it
+   touches is ever memoised. Two requests with the same key are
    the same compilation, so a warm daemon answers from the store
    without re-running the flow (that is the point of a long-lived
    service; the sub-step memos inside the flow only amortise solver
@@ -66,8 +68,7 @@ let completion_key cfg session (req : Protocol.request) =
     "levels=%d iters=%d routing=%b slack=%b balance=%b tv=%b narrow=%b\n"
     fc.Core.Flow.target_levels fc.max_iterations fc.routing_aware fc.slack_match
     fc.balance fc.tv_exact fc.narrow;
-  Printf.bprintf b "milp pen=%b nodes=%d time=%.9f" m.Buffering.Formulation.use_penalty
-    m.node_limit m.time_limit;
+  Printf.bprintf b "milp pen=%b nodes=%d" m.Buffering.Formulation.use_penalty m.node_limit;
   Cache.Hash.combine [ Buffer.contents b ]
 
 (* The real compile path. A named kernel runs the full evaluation

@@ -11,10 +11,11 @@
     decision is deterministic for a given request interleaving. Every
     request runs in its own {!Core.Session}: per-request MILP budgets,
     a cooperative cancellation flag ([cancel] lines and client
-    disconnects set it; the flow polls it at iteration boundaries), and
-    a status sink that streams [status] events. Flow failures — MILP
-    budget exhaustion, infeasibility, lint gates, parse errors — become
-    structured [error] events; nothing a request does kills the daemon.
+    disconnects set it; the flow polls it between iterations and at
+    every branch & bound node), and a status sink that streams [status]
+    events. Flow failures — MILP budget exhaustion, infeasibility, lint
+    gates, parse errors — become structured [error] events; nothing a
+    request does kills the daemon.
 
     Shutdown ([{"shutdown":true}], or client EOF on stdio) drains:
     new compiles are rejected with [shutting-down], admitted ones
@@ -24,7 +25,7 @@ type config = {
   jobs : int;              (** worker-pool width *)
   queue_limit : int;       (** max accepted-but-unfinished compiles; reject beyond *)
   milp_nodes : int option;      (** default per-request MILP node budget *)
-  milp_budget_s : float option; (** default per-request MILP wall budget *)
+  milp_budget_s : float option; (** default per-request MILP wall-clock cancel *)
   cache : Cache.Session.t; (** shared across all requests; [finish]ed on drain *)
   flow : Core.Flow.config;
       (** base flow configuration; a request's [levels] replaces its

@@ -1,7 +1,8 @@
 (* Probe: how long does the production B&B need to close the gap on a
    kernel MILP when given a large budget?  Builds the same MILP as the
-   flow, then re-runs Bb.solve with a 600s limit, seeded with the
-   production incumbent.  MILP_BB_DEBUG=1 shows gap progress. *)
+   flow, then re-runs Bb.solve with a 1M-node budget and a 600s wall
+   cancel, seeded with the production incumbent.  MILP_BB_DEBUG=1 shows
+   gap progress. *)
 
 module G = Dataflow.Graph
 module F = Buffering.Formulation
@@ -34,7 +35,9 @@ let () =
       (Lp.n_constrs p.F.lp);
     let t0 = Unix.gettimeofday () in
     (match
-       Bb.solve ~node_limit:1_000_000 ~time_limit:600. ~initial:p.F.solution p.F.lp
+       Bb.solve ~node_limit:1_000_000
+         ~poll:(Core.Session.milp_poll (Core.Session.make ~milp_budget_s:600. ()))
+         ~initial:p.F.solution p.F.lp
      with
     | Bb.Optimal { obj; proved_optimal; nodes; _ } ->
       Printf.printf "probe: objective=%.9g proved=%b nodes=%d wall=%.1fs\n" obj

@@ -321,13 +321,7 @@ let test_kernels_certified_vs_milp () =
       let model = Timing.Precharacterized.build ~cache:Fixtures.no_cache g in
       let cfdfcs = Buffering.Cfdfc.extract ~cycle_limit:24 g in
       let truncated = List.exists (fun cf -> cf.Buffering.Cfdfc.truncated) cfdfcs in
-      let cfg =
-        {
-          Buffering.Formulation.default_config with
-          use_penalty = false;
-          node_limit = 5;
-        }
-      in
+      let cfg = { Buffering.Formulation.use_penalty = false; node_limit = 5 } in
       match Buffering.Formulation.solve ~cache:Fixtures.no_cache ~cp_target:4.2 cfg g model cfdfcs with
       | Error msg -> Alcotest.fail (k.Hls.Kernels.name ^ ": MILP failed: " ^ msg)
       | Ok p ->

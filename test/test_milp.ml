@@ -279,18 +279,34 @@ let test_bb_initial_incumbent () =
   | Bb.Optimal { obj; _ } -> check float_t "optimum found despite weak start" 2. obj
   | _ -> Alcotest.fail "expected optimal"
 
-let test_bb_time_limit () =
-  (* a zero time limit on a fractional root returns the initial incumbent
-     without proving optimality *)
-  let m = Lp.create "tl" in
-  let a = Lp.add_var m ~kind:Lp.Binary "a" in
-  let b = Lp.add_var m ~kind:Lp.Binary "b" in
-  Lp.add_constr m [ (2., a); (2., b) ] Lp.Le 3.;
-  Lp.set_objective m ~maximize:true [ (1., a); (1., b) ];
-  match Bb.solve ~time_limit:0. ~initial:[| 0.; 0. |] m with
-  | Bb.Optimal { proved_optimal; _ } ->
-    check Alcotest.bool "not proved" false proved_optimal
-  | _ -> Alcotest.fail "expected incumbent"
+let test_bb_clock_independent () =
+  (* Jeroslow's knapsack: sum 2*x_i <= 11 over 11 binaries. The LP bound
+     stays at 5.5 until six variables are fixed, so proving the optimum 5
+     takes hundreds of nodes. A poll that sleeps (a slow or loaded
+     machine) must not change what the search returns, whether it runs
+     to a proof or stops on the node budget. *)
+  let model () =
+    let m = Lp.create "jeroslow" in
+    let xs = List.init 11 (fun i -> Lp.add_var m ~kind:Lp.Binary (Printf.sprintf "x%d" i)) in
+    Lp.add_constr m (List.map (fun x -> (2., x)) xs) Lp.Le 11.;
+    Lp.set_objective m ~maximize:true (List.map (fun x -> (1., x)) xs);
+    m
+  in
+  let run ?node_limit poll =
+    match Bb.solve ?node_limit ~poll (model ()) with
+    | Bb.Optimal { obj; x; proved_optimal; nodes } -> (obj, x, proved_optimal, nodes)
+    | _ -> Alcotest.fail "expected an incumbent"
+  in
+  let slow () = Unix.sleepf 1e-4 in
+  let ((obj, _, proved, nodes) as fast) = run ignore in
+  check float_t "optimum" 5. obj;
+  check Alcotest.bool "proved" true proved;
+  check Alcotest.bool "needs more than 100 nodes" true (nodes > 100);
+  check Alcotest.bool "slow poll, same answer" true (run slow = fast);
+  let ((_, _, proved, nodes) as fast) = run ~node_limit:60 ignore in
+  check Alcotest.bool "budget binds" false proved;
+  check Alcotest.int "budget spent" 60 nodes;
+  check Alcotest.bool "slow poll, same budgeted answer" true (run ~node_limit:60 slow = fast)
 
 let test_bb_rebranch_same_var () =
   (* QCheck counterexample (generator seed 7622): branching the same
@@ -360,5 +376,5 @@ let suite =
     ("bb initial incumbent", `Quick, test_bb_initial_incumbent);
     ("bb re-branch same variable", `Quick, test_bb_rebranch_same_var);
     ("lp violations certificate", `Quick, test_lp_violations);
-    ("bb time limit", `Quick, test_bb_time_limit);
+    ("bb result independent of the clock", `Quick, test_bb_clock_independent);
   ]

@@ -301,6 +301,74 @@ let test_cancellation_mid_flow () =
   | exception Core.Session.Cancelled -> ());
   check Alcotest.bool "cancellation was polled more than once" true (!polls >= 2)
 
+(* The wall clock can only abandon a MILP solve, never shape its answer.
+   A baseline flow on a kernel whose buffer MILP branches (so the
+   solver's per-node poll runs), with its trace counters. *)
+let baseline_branching ?(session = Core.Session.make ()) () =
+  let g = Hls.Kernels.graph Fixtures.tsum in
+  Support.Trace.start ();
+  let r =
+    match Core.Flow.baseline ~config:Fixtures.cheap_flow_config ~session g with
+    | _ -> Ok ()
+    | exception e -> Error e
+  in
+  (r, Support.Trace.counter (Support.Trace.stop ()) "milp.bb.nodes")
+
+let full_search_nodes =
+  lazy
+    (match baseline_branching () with
+    | Ok (), nodes -> nodes
+    | Error e, _ -> raise e)
+
+(* the kinds of every entry in a store directory, read off the entry
+   headers ("repro-cache <format> <kind> ...") *)
+let entry_kinds dir =
+  let rec walk path =
+    if Sys.is_directory path then
+      Array.to_list (Sys.readdir path) |> List.concat_map (fun f -> walk (Filename.concat path f))
+    else
+      In_channel.with_open_bin path (fun ic ->
+          match In_channel.input_line ic with
+          | Some line -> (
+            match String.split_on_char ' ' line with _ :: _ :: kind :: _ -> [ kind ] | _ -> [])
+          | None -> [])
+  in
+  walk (Filename.concat dir "objects")
+
+let test_wall_budget_memoizes_nothing () =
+  check Alcotest.bool "the baseline MILP branches" true (Lazy.force full_search_nodes > 0);
+  Fixtures.with_temp_dir @@ fun dir ->
+  let cache = Cache.Session.of_dir dir in
+  (match baseline_branching ~session:(Core.Session.make ~cache ~milp_budget_s:1e-6 ()) () with
+  | Ok (), _ -> Alcotest.fail "an expired wall budget must abandon the solve"
+  | Error exn, _ ->
+    check Alcotest.string "reported as budget exhaustion" "milp-exhausted"
+      (fst (P.error_of_exn exn)));
+  check Alcotest.bool "no milp entry stored" false (List.mem "milp" (entry_kinds dir));
+  (* the same request without the wall budget solves and memoizes *)
+  (match baseline_branching ~session:(Core.Session.make ~cache ()) () with
+  | Ok (), nodes -> check Alcotest.bool "solved, not served" true (nodes > 0)
+  | Error e, _ -> raise e);
+  Cache.Session.finish cache;
+  check Alcotest.bool "now memoized" true (List.mem "milp" (entry_kinds dir))
+
+let test_cancel_inside_search () =
+  (* the flag flips once the MILP stage has started: the solve's own
+     poll must end the request before branch & bound finishes *)
+  let in_milp = Atomic.make false in
+  let session =
+    Core.Session.make
+      ~cancelled:(fun () -> Atomic.get in_milp)
+      ~on_status:(fun stage -> if stage = "milp" then Atomic.set in_milp true)
+      ()
+  in
+  match baseline_branching ~session () with
+  | Error Core.Session.Cancelled, nodes ->
+    check Alcotest.bool "stopped before the search finished" true
+      (nodes < Lazy.force full_search_nodes)
+  | Error e, _ -> raise e
+  | Ok (), _ -> Alcotest.fail "expected cancellation inside the MILP solve"
+
 let test_server_cancellation () =
   let gate = Atomic.make false in
   let runner session (r : P.request) =
@@ -555,10 +623,9 @@ let test_session_milp_config () =
   check Alcotest.bool "a made session has no cache by default" false
     (Cache.Session.enabled (Core.Session.make ()).Core.Session.cache);
   let base = Core.Flow.default_config.Core.Flow.milp in
-  let s = Core.Session.make ~milp_nodes:123 ~milp_budget_s:4.5 () in
+  let s = Core.Session.make ~milp_nodes:123 () in
   let cfg = Core.Session.milp_config s base in
   check Alcotest.int "node budget overridden" 123 cfg.Buffering.Formulation.node_limit;
-  check (Alcotest.float 1e-9) "wall budget overridden" 4.5 cfg.Buffering.Formulation.time_limit;
   let cfg' = Core.Session.milp_config (Core.Session.make ()) base in
   check Alcotest.int "no override keeps the config" base.Buffering.Formulation.node_limit
     cfg'.Buffering.Formulation.node_limit
@@ -586,4 +653,8 @@ let suite =
     Alcotest.test_case "cache: session memo and shared store" `Quick test_cache_session_memo;
     Alcotest.test_case "session: milp_config applies budget overrides" `Quick
       test_session_milp_config;
+    Alcotest.test_case "session: wall budget cancels, memoizes nothing" `Quick
+      test_wall_budget_memoizes_nothing;
+    Alcotest.test_case "session: cancel lands inside branch & bound" `Quick
+      test_cancel_inside_search;
   ]
